@@ -19,7 +19,8 @@ indices are 0-based.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +42,25 @@ class ZeroWeightWarning(UserWarning):
     """A zero edge weight makes the two sides of the edge independent."""
 
 
+class _Rooted(NamedTuple):
+    """A tree rooted at node 1, listed in BFS order (positions 0..N-1)."""
+
+    order: tuple[int, ...]  # 0-based node index at each BFS position
+    parent: tuple[int, ...]  # BFS position of the parent; -1 at the root
+    weight: tuple[float, ...]  # weight of the parent edge; 0.0 at the root
+
+
 @dataclass(frozen=True)
 class TreeSpec:
-    """Weighted tree: ``node_count`` nodes (ids 1..N) and N-1 weighted edges."""
+    """Weighted tree: ``node_count`` nodes (ids 1..N) and N-1 weighted edges.
+
+    ``validate_tree`` attaches the rooted form to the spec it checks; the
+    field takes no part in equality, hashing or ``repr``.
+    """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
+    _rooted: _Rooted | None = field(default=None, init=False, repr=False, compare=False)
 
     def edge_weights(self) -> dict[tuple[int, int], float]:
         """Weights keyed by sorted node pair."""
@@ -62,8 +76,23 @@ class CovarianceMatrix:
     normalized: bool
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; integral floats such as ``2.0`` are accepted."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_float(value, what: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ParseError(f"{what} must be a number, got {value!r}")
+
+
 def tree_from_json(obj) -> TreeSpec:
-    """Parse ``{"nodes": N, "edges": [[i, j, w], ...]}`` into a TreeSpec."""
+    """Parse ``{"nodes": N, "edges": [[i, j, w], ...]}`` into a validated TreeSpec."""
     if not isinstance(obj, dict):
         raise ParseError("tree JSON must be an object with 'nodes' and 'edges'")
     try:
@@ -71,14 +100,17 @@ def tree_from_json(obj) -> TreeSpec:
         raw_edges = obj["edges"]
     except KeyError as exc:
         raise ParseError(f"tree JSON missing field {exc}") from exc
-    if not isinstance(nodes, int) or isinstance(nodes, bool):
-        raise ParseError("'nodes' must be an integer")
+    nodes = _json_int(nodes, "'nodes'")
+    if not isinstance(raw_edges, list):
+        raise ParseError("'edges' must be a list of [i, j, w] entries")
     edges = []
     for entry in raw_edges:
-        if len(entry) != 3:
+        if not (isinstance(entry, list) and len(entry) == 3):
             raise ParseError(f"edge entry {entry!r} must be [i, j, w]")
         i, j, w = entry
-        edges.append((int(i), int(j), float(w)))
+        edges.append(
+            (_json_int(i, "node id"), _json_int(j, "node id"), _json_float(w, "edge weight"))
+        )
     return validate_tree(TreeSpec(node_count=nodes, edges=tuple(edges)))
 
 
@@ -87,17 +119,25 @@ def tree_to_json(spec: TreeSpec) -> dict:
 
 
 def validate_tree(spec: TreeSpec) -> TreeSpec:
-    """Check all TreeSpec invariants and return the spec unchanged.
+    """Check all TreeSpec invariants and return the spec itself, rooted.
 
     Raises CycleError, DisconnectedError, WeightOutOfRange or DuplicateEdge.
-    A zero weight is legal but triggers ZeroWeightWarning since it severs the
-    dependence between the two sides of the edge.
+    The edge count and node ranges are checked before anything of size N is
+    allocated.  A zero weight is legal but triggers ZeroWeightWarning since
+    it severs the dependence between the two sides of the edge.  The BFS
+    from node 1 that decides connectivity is kept on the spec, so a spec
+    that passed once is neither traversed nor warned about again.
     """
+    if spec._rooted is not None:
+        return spec
     n = spec.node_count
     if n < 1:
         raise DisconnectedError("node_count must be >= 1")
+    if len(spec.edges) > n - 1:
+        raise CycleError(f"{len(spec.edges)} edges on {n} nodes form a cycle")
+    if len(spec.edges) < n - 1:
+        raise DisconnectedError(f"{len(spec.edges)} edges cannot connect {n} nodes")
     seen = set()
-    adj = {v: [] for v in range(1, n + 1)}
     for i, j, w in spec.edges:
         if not (1 <= i <= n and 1 <= j <= n):
             raise DisconnectedError(f"edge ({i},{j}) references a node outside 1..{n}")
@@ -115,66 +155,56 @@ def validate_tree(spec: TreeSpec) -> TreeSpec:
                 ZeroWeightWarning,
                 stacklevel=2,
             )
-        adj[i].append(j)
-        adj[j].append(i)
-
-    if len(spec.edges) > n - 1:
-        raise CycleError(f"{len(spec.edges)} edges on {n} nodes form a cycle")
-    if len(spec.edges) < n - 1:
-        raise DisconnectedError(f"{len(spec.edges)} edges cannot connect {n} nodes")
 
     # N-1 distinct edges: connected iff acyclic; a BFS from node 1 decides.
-    reached = {1}
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u not in reached:
-                reached.add(u)
-                frontier.append(u)
-    if len(reached) != n:
-        # some component carries at least as many edges as nodes
-        raise DisconnectedError(
-            f"nodes {sorted(set(range(1, n + 1)) - reached)} are unreachable from node 1"
-        )
+    object.__setattr__(spec, "_rooted", _bfs(n, spec.edges))
     return spec
 
 
-def adjacency(spec: TreeSpec) -> dict[int, list[tuple[int, float]]]:
-    """Neighbor lists with weights, keyed by 1-based node id."""
-    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in range(1, spec.node_count + 1)}
-    for i, j, w in spec.edges:
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    return adj
+def _bfs(n: int, edges) -> _Rooted:
+    """Root the N-1 range-checked ``edges`` at node 1 by breadth-first search."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j, w in edges:
+        adj[i - 1].append((j - 1, w))
+        adj[j - 1].append((i - 1, w))
+    seen = [False] * n
+    seen[0] = True
+    order, parent, weight = [0], [-1], [0.0]
+    for k, v in enumerate(order):  # ``order`` grows while it is scanned
+        for u, w in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                parent.append(k)
+                weight.append(w)
+    if len(order) != n:
+        # some component carries at least as many edges as nodes
+        unreached = [v + 1 for v in range(n) if not seen[v]]
+        raise DisconnectedError(f"nodes {unreached} are unreachable from node 1")
+    return _Rooted(tuple(order), tuple(parent), tuple(weight))
 
 
 def build_covariance(spec: TreeSpec) -> CovarianceMatrix:
     """Dense covariance with unit diagonal and path-product off-diagonals.
 
-    Entries are accumulated by one traversal per source node, multiplying
-    weights edge by edge along the path, so every entry equals the literal
-    product of its path weights (no divisions, zero weights included).
-    O(N^2) overall.
+    The covariance of two nodes is the product of the weights on their
+    path, so each node's row is its parent's row times the parent-edge
+    weight: row(v) = w_v * row(parent(v)).  Nodes are placed in BFS order
+    from node 1 and each fills one vectorized row, and its mirror column,
+    over the nodes already placed.  That is N interpreted steps and O(N^2)
+    multiplications, with no divisions, so zero weights are exact, the
+    diagonal is exactly 1 and the matrix exactly symmetric.
     """
     spec = validate_tree(spec)
+    order, parent, weight = spec._rooted
     n = spec.node_count
-    adj = adjacency(spec)
-    cov = np.eye(n)
-    for src in range(1, n + 1):
-        stack = [(src, 1.0)]
-        visited = {src}
-        while stack:
-            v, prod = stack.pop()
-            for u, w in adj[v]:
-                if u in visited:
-                    continue
-                visited.add(u)
-                p = prod * w
-                if u > src:
-                    cov[src - 1, u - 1] = p
-                    cov[u - 1, src - 1] = p
-                stack.append((u, p))
+    placed = np.eye(n)  # rows and columns in BFS order
+    for k in range(1, n):
+        row = weight[k] * placed[parent[k], :k]
+        placed[k, :k] = row
+        placed[:k, k] = row
+    cov = np.empty_like(placed)
+    cov[np.ix_(order, order)] = placed
     return covariance_from_matrix(cov)
 
 

@@ -43,6 +43,7 @@ from .errors import (
     WouldCreateCycle,
 )
 from .gaussian_tree import TreeSpec, as_covariance, build_covariance, tree_from_json, validate_tree
+from .gaussian_tree import _json_float, _json_int
 
 EDGE_WEIGHT_ATOL = 1e-12
 DETERMINANT_RTOL = 1e-9
@@ -111,10 +112,10 @@ def graft_op_from_json(obj) -> GraftOp:
         raise ParseError("graft op JSON must be an object")
     try:
         return GraftOp(
-            subtree_root=int(obj["subtree_root"]),
-            old_neighbor=int(obj["old_neighbor"]),
-            new_neighbor=int(obj["new_neighbor"]),
-            weight=float(obj["weight"]),
+            subtree_root=_json_int(obj["subtree_root"], "subtree_root"),
+            old_neighbor=_json_int(obj["old_neighbor"], "old_neighbor"),
+            new_neighbor=_json_int(obj["new_neighbor"], "new_neighbor"),
+            weight=_json_float(obj["weight"], "weight"),
         )
     except KeyError as exc:
         raise ParseError(f"graft op JSON missing field {exc}") from exc

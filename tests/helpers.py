@@ -25,6 +25,39 @@ def random_tree(rng, n, w_lo=0.2, w_hi=0.85, negative_fraction=0.3):
     return validate_tree(TreeSpec(n, tuple(edges)))
 
 
+def path_product_covariance(spec):
+    """Literal path-product covariance and path lengths, one walk per source.
+
+    Weights are multiplied edge by edge outward from each source, so every
+    entry is the plain product of its path weights.  O(N^2) interpreted
+    steps; the reference for ``build_covariance``.  Returns the covariance
+    and the number of edges on each path.
+    """
+    n = spec.node_count
+    adj = {v: [] for v in range(1, n + 1)}
+    for i, j, w in spec.edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    cov = np.eye(n)
+    hops = np.zeros((n, n), dtype=int)
+    for src in range(1, n + 1):
+        stack = [(src, 1.0, 0)]
+        visited = {src}
+        while stack:
+            v, prod, length = stack.pop()
+            for u, w in adj[v]:
+                if u in visited:
+                    continue
+                visited.add(u)
+                p = prod * w
+                if u > src:
+                    cov[src - 1, u - 1] = p
+                    cov[u - 1, src - 1] = p
+                hops[src - 1, u - 1] = length + 1
+                stack.append((u, p, length + 1))
+    return cov, hops
+
+
 def random_spd(rng, n, spread=1.0):
     """Random SPD matrix with moderate conditioning."""
     a = rng.standard_normal((n, n)) * spread

@@ -1,11 +1,23 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chernoff import TreeSpec, build_covariance, chernoff_information, tree_to_json
+import chernoff
+from chernoff import (
+    TreeSpec,
+    ZeroWeightWarning,
+    build_covariance,
+    chernoff_information,
+    gaussian_tree,
+    tree_to_json,
+)
 from chernoff.cli import main
 from helpers import DEPENDENT_BASE, DEPENDENT_OPS, independent_chain_case
 
@@ -64,6 +76,63 @@ class TestTreeCommand:
         code, result, _ = _run(capsys, ["tree", "det", path])
         assert code == 2
         assert result["payload"]["code"] == "cycle"
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {"nodes": 3, "edges": 5},
+            {"nodes": 3, "edges": [["a", 2, 0.5], [2, 3, 0.6]]},
+            {"nodes": 3, "edges": [[1, 2, 0.5], [1.5, 3, 0.6]]},
+        ],
+        ids=["edges-not-a-list", "string-node-id", "fractional-node-id"],
+    )
+    def test_malformed_tree_fields_exit_2(self, tmp_path, capsys, tree):
+        code, result, _ = _run(capsys, ["tree", "det", _write(tmp_path, "bad.json", tree)])
+        assert code == 2
+        assert result["payload"]["code"] == "parse"
+
+    def test_huge_node_count_exits_2_before_allocating(self, tmp_path):
+        # Under a 1 GiB address-space cap an allocation of size N fails fast
+        # with MemoryError (exit 4) instead of exhausting the machine.
+        path = _write(tmp_path, "huge.json", {"nodes": 10**9, "edges": []})
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from chernoff.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(chernoff.__file__).resolve().parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "tree", "det", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["payload"]["code"] == "disconnected"
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("command", [["tree", "det"], ["ci"]])
+    def test_each_tree_is_traversed_and_warned_about_once(
+        self, tmp_path, capsys, monkeypatch, recwarn, command
+    ):
+        zero = {"nodes": 3, "edges": [[1, 2, 0.0], [2, 3, 0.6]]}
+        paths = [_write(tmp_path, "zero.json", zero)]
+        if command == ["ci"]:
+            paths.append(_write(tmp_path, "plain.json", CHAIN_TREE))
+        runs = []
+        bfs = gaussian_tree._bfs
+        monkeypatch.setattr(gaussian_tree, "_bfs", lambda *a: runs.append(a) or bfs(*a))
+        code, _, _ = _run(capsys, command + paths)
+        assert code == 0
+        assert len(runs) == len(paths)
+        assert [w.category for w in recwarn] == [ZeroWeightWarning]
 
 
 class TestCiCommand:
@@ -181,6 +250,17 @@ class TestOpsCommand:
         code, result, _ = _run(capsys, ["ops", "graft", tree, "--op", op])
         assert code == 0
         assert [4, 2, 0.3] in result["payload"]["trees"][0]["edges"]
+
+    def test_fractional_graft_field_exits_2(self, tmp_path, capsys):
+        tree = _write(tmp_path, "tree.json", CHAIN_TREE)
+        op = _write(
+            tmp_path,
+            "op.json",
+            {"subtree_root": 3, "old_neighbor": 2, "new_neighbor": 1.5, "weight": 0.6},
+        )
+        code, result, _ = _run(capsys, ["ops", "graft", tree, "--op", op])
+        assert code == 2
+        assert result["payload"]["code"] == "parse"
 
     def test_graft_cycle_exits_2(self, tmp_path, capsys):
         tree = _write(

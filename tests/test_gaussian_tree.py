@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chernoff import (
@@ -25,7 +25,7 @@ from chernoff.errors import (
     ParseError,
     WeightOutOfRange,
 )
-from helpers import random_tree
+from helpers import path_product_covariance, random_tree
 
 CHAIN = TreeSpec(3, ((1, 2, 0.5), (2, 3, 0.6)))
 
@@ -70,6 +70,14 @@ class TestValidateTree:
 
     def test_single_node(self):
         assert validate_tree(TreeSpec(1, ())).node_count == 1
+
+    def test_rooting_leaves_equality_hash_and_repr_alone(self):
+        fresh = TreeSpec(3, ((1, 2, 0.5), (2, 3, 0.6)))
+        rooted = validate_tree(TreeSpec(3, ((1, 2, 0.5), (2, 3, 0.6))))
+        assert rooted == fresh
+        assert hash(rooted) == hash(fresh)
+        assert repr(rooted) == repr(fresh)
+        assert tree_to_json(rooted) == tree_to_json(fresh)
 
 
 class TestBuildCovariance:
@@ -147,6 +155,61 @@ def test_closed_forms_agree_with_dense_algebra(spec):
     n = spec.node_count
     assert np.abs(cov @ prec - np.eye(n)).max() < 1e-9
     assert tree_determinant(spec) == pytest.approx(np.linalg.det(cov), rel=1e-10)
+    assert np.array_equal(cov, cov.T)
+
+
+# float64 rounding: each multiply errs by at most u relative plus one
+# subnormal step, so two orders of a product of k+1 factors differ by at
+# most 2*k*(u*|product| + step).
+UNIT_ROUNDOFF = 2.0**-53
+SUBNORMAL_STEP = 2.0**-1074
+
+tree_weights = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-0.999999, max_value=0.999999),
+)
+
+
+@st.composite
+def shaped_trees(draw):
+    """Random, path and star trees on up to 200 randomly labelled nodes."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    shape = draw(st.sampled_from(["random", "path", "star"]))
+    label = draw(st.permutations(range(1, n + 1)))
+    weights = draw(st.lists(tree_weights, min_size=n - 1, max_size=n - 1))
+    edges = []
+    for v in range(1, n):
+        if shape == "random":
+            parent = draw(st.integers(min_value=0, max_value=v - 1))
+        else:
+            parent = v - 1 if shape == "path" else 0
+        edges.append((label[parent], label[v], weights[v - 1]))
+    return TreeSpec(n, tuple(edges))
+
+
+@pytest.mark.filterwarnings("ignore::chernoff.ZeroWeightWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shaped_trees())
+def test_recurrence_matches_path_product_oracle(spec):
+    cov = build_covariance(spec).matrix
+    oracle, hops = path_product_covariance(spec)
+    steps = np.maximum(hops - 1, 0)
+    bound = 2.0 * steps * (UNIT_ROUNDOFF * np.abs(oracle) + SUBNORMAL_STEP)
+    assert np.all(np.abs(cov - oracle) <= bound)
+    assert np.all(np.diag(cov) == 1.0)
+    assert np.array_equal(cov, cov.T)
+
+
+def test_single_node_covariance():
+    assert np.array_equal(build_covariance(TreeSpec(1, ())).matrix, [[1.0]])
+
+
+def test_long_path_builds_without_recursion():
+    n = 1500
+    weights = np.linspace(0.999, 0.99, n - 1)
+    spec = TreeSpec(n, tuple((v, v + 1, float(w)) for v, w in zip(range(1, n), weights)))
+    cov = build_covariance(spec).matrix
+    np.testing.assert_allclose(cov[0, 1:], np.cumprod(weights), rtol=1e-12)
     assert np.array_equal(cov, cov.T)
 
 
