@@ -27,7 +27,13 @@ from .divergence import (
     chernoff_from_spectrum,
     chernoff_information,
 )
-from .dimred import candidate_reductions, pca_baseline, reduced_pair
+from .dimred import (
+    UNIT_CLASSIFICATION_TOL,
+    best_random_projection_ci,
+    candidate_reductions,
+    pca_baseline,
+    reduced_pair,
+)
 from .errors import ChernoffError, NumericDomainError, ParseError, ValidationError
 from .gaussian_tree import (
     build_covariance,
@@ -37,7 +43,7 @@ from .gaussian_tree import (
     tree_precision,
     tree_to_json,
 )
-from .geneig import generalized_eigenvalues, spectrum_from_values
+from .geneig import spectrum_from_values
 from .simulate import estimate_error_exponent, simulation_config_from_json
 from .tree_ops import (
     adding_operation,
@@ -274,17 +280,15 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_dimred(args) -> int:
+    if args.compare_random < 0:
+        raise ParseError(f"--compare-random must be >= 0, got {args.compare_random}")
     sigma1 = _load_model(args.input1)
     sigma2 = _load_model(args.input2)
     candidates = candidate_reductions(sigma1, sigma2, args.n_out)
     best = candidates[0]
     payload = {
         "n_out": args.n_out,
-        "m": int(
-            np.sum(
-                generalized_eigenvalues(sigma1, sigma2).values > 1.0 + 1e-12
-            )
-        ),
+        "m": int(np.sum(best.pair_spectrum.values > 1.0 + UNIT_CLASSIFICATION_TOL)),
         "candidates": [
             {
                 "k": c.k,
@@ -306,13 +310,9 @@ def _cmd_dimred(args) -> int:
         diagnostics.append("pca comparison uses the first input's eigenvectors")
     if args.compare_random:
         rng = np.random.default_rng(_default_seed(args.seed))
-        best_random = 0.0
-        n = sigma1.dim
-        for _ in range(args.compare_random):
-            proj = rng.standard_normal((args.n_out, n))
-            r1, r2 = reduced_pair(proj, sigma1, sigma2)
-            best_random = max(best_random, chernoff_information(r1, r2).ci)
-        payload["random_projection_best_ci"] = best_random
+        payload["random_projection_best_ci"] = best_random_projection_ci(
+            sigma1, sigma2, args.n_out, args.compare_random, rng
+        )
         payload["random_projection_count"] = args.compare_random
     _emit(payload, diagnostics)
     return EXIT_OK

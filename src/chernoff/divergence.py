@@ -21,10 +21,12 @@ eigenvalues v_i of (S1, S2), with u_i(t) = (1-t) + t v_i:
     D(S_t||S2) = 0.5 sum_i [ ln(u_i/v_i) + v_i/u_i - 1 ]
 
 so t* is the root of h(t) = D(S_t||S1) - D(S_t||S2), a strictly increasing
-function with h(0) = -D(S1||S2) <= 0 <= D(S2||S1) = h(1).  The balance
-point is found by bisection (guaranteed by the bracketing) plus a few
-Newton refinements (h' is available in closed form), and the Chernoff
-value is evaluated as
+function with h(0) = -D(S1||S2) <= 0 <= D(S2||S1) = h(1).  One solver finds
+it for an (R, N) stack of spectra at once, and a single spectrum is the
+stack with R = 1: safeguarded Newton from t = 1/2 (h' is available in
+closed form), where a step that leaves the bracket becomes a bisection
+step; ``solve_lambda_star`` gives the details.  It takes about 5 steps;
+bisection alone would take over 40.  The Chernoff value is evaluated as
 
     CI = 0.5 sum_i ln(t* sqrt(v_i) + (1-t*)/sqrt(v_i)) + 0.5 (1/2 - t*) ln(beta)
 
@@ -35,12 +37,18 @@ sum_i 1/u_i = N - t* ln(beta) holds exactly and serves as a residual check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg import cholesky as _cholesky
 
-from .errors import DegenerateSpectrum, NotPositiveDefinite, NumericDomainError
+from .errors import (
+    DegenerateSpectrum,
+    DimensionMismatch,
+    NotPositiveDefinite,
+    NumericDomainError,
+)
 from .gaussian_tree import CovarianceMatrix, covariance_from_matrix
 from .geneig import (
     UNIT_EIGENVALUE_TOL,
@@ -49,8 +57,8 @@ from .geneig import (
     generalized_eigenvalues,
 )
 
-LAMBDA_TOL = 1e-12
-NEWTON_STEPS = 5
+STEP_TOL = 1e-14
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,9 @@ class ChernoffResult:
     """Chernoff information with the balance point and solver diagnostics.
 
     ``residual`` is |D(S_t*||S1) - D(S_t*||S2)| at the returned balance
-    point; ``degenerate`` marks an all-unit spectrum, for which the balance
+    point; ``iterations`` counts the solver's steps from t = 1/2 (Newton
+    or bisection, one evaluation of h each), 0 when h(1/2) is exactly 0;
+    ``degenerate`` marks an all-unit spectrum, for which the balance
     point is not unique and is reported as 0.5 by convention.
     """
 
@@ -138,53 +148,93 @@ def kl_interpolant_divergences(spectrum: EigenSpectrum, lam: float) -> tuple[flo
     return max(0.0, d1), max(0.0, d2)
 
 
-def _balance_residual(lam: float, values: np.ndarray, log_beta: float) -> float:
-    """h(t) = D(S_t||S1) - D(S_t||S2); strictly increasing in t."""
-    u = (1.0 - lam) + lam * values
-    return 0.5 * (log_beta + float(np.sum((1.0 - values) / u)))
+class StackSolution(NamedTuple):
+    """Per-row solver output for an (R, N) stack of spectra."""
+
+    ci: np.ndarray
+    lambda_star: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    degenerate: np.ndarray
 
 
-def _balance_slope(lam: float, values: np.ndarray) -> float:
-    u = (1.0 - lam) + lam * values
-    return 0.5 * float(np.sum(((values - 1.0) / u) ** 2))
+def _balance(lam: np.ndarray, values: np.ndarray, log_beta: np.ndarray):
+    """Per row, h(t) = D(S_t||S1) - D(S_t||S2) and its slope h'(t) > 0."""
+    u = (1.0 - lam)[:, None] + lam[:, None] * values
+    ratio = (1.0 - values) / u
+    return 0.5 * (log_beta + ratio.sum(axis=1)), 0.5 * (ratio * ratio).sum(axis=1)
 
 
-def _solve_lambda_star(values: np.ndarray, unit_tol: float) -> tuple[float, int, float]:
-    """Root of the balance residual: (lambda*, iterations, |h at lambda*|)."""
-    if np.all(np.abs(values - 1.0) <= unit_tol):
-        raise DegenerateSpectrum(
-            "all eigenvalues are unit; every lambda balances the divergences"
-        )
-    log_beta = float(np.sum(np.log(values)))
-    h_lo = _balance_residual(0.0, values, log_beta)
-    h_hi = _balance_residual(1.0, values, log_beta)
-    if h_lo > 0.0 or h_hi < 0.0:
+def solve_lambda_star(values, unit_tol: float = UNIT_EIGENVALUE_TOL) -> StackSolution:
+    """Balance point and Chernoff information of every row of a spectrum stack.
+
+    A row with h(1/2) > 0 is solved as its reciprocal spectrum 1/v, whose
+    balance point is 1 - t*, so a spectrum and its reciprocal share every
+    rounding.  In that orientation the smallest eigenvalue v_1 puts a pole
+    of h at t = 1/(1 - v_1) just right of [0, 1]; Newton is applied to
+    g = u_1 h, with u_1 = 1 + t (v_1 - 1) > 0, which has the roots and signs
+    of h but no pole.  From t = 1/2 each row keeps a bracket
+    h(lo) < 0 <= h(hi).  A Newton step that leaves the bracket, or that is
+    longer than half the previous step, becomes a bisection step.  A row
+    stops when its step is at most STEP_TOL or h is exactly 0.  All-unit
+    rows are marked degenerate and skipped.
+    """
+    values = np.ascontiguousarray(np.atleast_2d(values), dtype=float)
+    rows = values.shape[0]
+    degenerate = np.all(np.abs(values - 1.0) <= unit_tol, axis=1)
+    log_beta = np.log(values).sum(axis=1)
+    h_lo = 0.5 * (log_beta + (1.0 - values).sum(axis=1))
+    h_hi = 0.5 * (log_beta + ((1.0 - values) / values).sum(axis=1))
+    bad = ~degenerate & ((h_lo > 0.0) | (h_hi < 0.0))
+    if bad.any():
+        r = int(np.argmax(bad))
         raise NumericDomainError(
-            f"balance residual does not bracket a root: h(0)={h_lo}, h(1)={h_hi}",
+            f"balance residual does not bracket a root: h(0)={h_lo[r]}, h(1)={h_hi[r]}",
             code="bracketing_violated",
         )
-    lo, hi = 0.0, 1.0
-    iterations = 0
-    while hi - lo > LAMBDA_TOL:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if _balance_residual(mid, values, log_beta) < 0.0:
-            lo = mid
+    lam = np.full(rows, 0.5)
+    h, slope = _balance(lam, values, log_beta)
+    flip = h > 0.0
+    if flip.any():
+        values = np.where(flip[:, None], 1.0 / values[:, ::-1], values)
+        log_beta = np.log(values).sum(axis=1)
+        h, slope = _balance(lam, values, log_beta)
+    a_1 = values.min(axis=1) - 1.0
+    lo, hi, last_step = np.zeros(rows), np.ones(rows), np.ones(rows)
+    iterations = np.zeros(rows, dtype=int)
+    active = ~degenerate & (h != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # all-unit rows give 0/0
+        for _ in range(MAX_ITERATIONS):
+            if not active.any():
+                break
+            lo = np.where(h < 0.0, lam, lo)
+            hi = np.where(h > 0.0, lam, hi)
+            u_1 = 1.0 + lam * a_1
+            newton = lam - u_1 * h / (u_1 * slope + a_1 * h)
+            ok = (lo <= newton) & (newton <= hi)
+            ok &= 2.0 * np.abs(newton - lam) <= last_step
+            step_to = np.where(active, np.where(ok, newton, 0.5 * (lo + hi)), lam)
+            last_step = np.abs(step_to - lam)
+            lam = step_to
+            iterations += active
+            h, slope = _balance(lam, values, log_beta)
+            active &= (last_step > STEP_TOL) & (h != 0.0)
         else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    for _ in range(NEWTON_STEPS):
-        h = _balance_residual(lam, values, log_beta)
-        slope = _balance_slope(lam, values)
-        if slope == 0.0:
-            break
-        nxt = min(1.0, max(0.0, lam - h / slope))
-        iterations += 1
-        if nxt == lam:
-            break
-        lam = nxt
-    residual = abs(_balance_residual(lam, values, log_beta))
-    return lam, iterations, residual
+            if active.any():
+                raise NumericDomainError(
+                    f"lambda* solver did not converge in {MAX_ITERATIONS} steps",
+                    code="solver_not_converged",
+                )
+    root = np.sqrt(values)
+    ci = 0.5 * np.log(lam[:, None] * root + (1.0 - lam[:, None]) / root).sum(axis=1)
+    ci += 0.5 * (0.5 - lam) * log_beta
+    return StackSolution(
+        ci=np.where(degenerate, 0.0, np.maximum(ci, 0.0)),
+        lambda_star=np.where(flip, 1.0 - lam, lam),  # 0.5 on degenerate rows
+        iterations=iterations,
+        residual=np.where(degenerate, 0.0, np.abs(h)),
+        degenerate=degenerate,
+    )
 
 
 def lambda_star(spectrum: EigenSpectrum, unit_tol: float = UNIT_EIGENVALUE_TOL) -> float:
@@ -192,8 +242,12 @@ def lambda_star(spectrum: EigenSpectrum, unit_tol: float = UNIT_EIGENVALUE_TOL) 
 
     Raises DegenerateSpectrum when every eigenvalue is unit (any t works).
     """
-    lam, _, _ = _solve_lambda_star(spectrum.values, unit_tol)
-    return lam
+    solution = solve_lambda_star(spectrum.values, unit_tol)
+    if solution.degenerate[0]:
+        raise DegenerateSpectrum(
+            "all eigenvalues are unit; every lambda balances the divergences"
+        )
+    return float(solution.lambda_star[0])
 
 
 def balance_equation_residual(spectrum: EigenSpectrum, lam: float) -> float:
@@ -207,6 +261,33 @@ def balance_equation_residual(spectrum: EigenSpectrum, lam: float) -> float:
     return float(np.sum(1.0 / u) - (v.size - lam * np.sum(np.log(v))))
 
 
+def chernoff_from_spectra(
+    spectra, unit_tol: float = UNIT_EIGENVALUE_TOL
+) -> list[ChernoffResult]:
+    """Chernoff information of equal-dimension spectra, solved as one stack.
+
+    Each result is the one ``chernoff_from_spectrum`` gives for that
+    spectrum alone, bit for bit.
+    """
+    spectra = list(spectra)
+    if len({s.dim for s in spectra}) > 1:
+        raise DimensionMismatch("spectra solved together must share one dimension")
+    if not spectra:
+        return []
+    solution = solve_lambda_star(np.stack([s.values for s in spectra]), unit_tol)
+    return [
+        ChernoffResult(
+            ci=float(solution.ci[r]),
+            lambda_star=float(solution.lambda_star[r]),
+            spectrum=spectrum,
+            iterations=int(solution.iterations[r]),
+            residual=float(solution.residual[r]),
+            degenerate=bool(solution.degenerate[r]),
+        )
+        for r, spectrum in enumerate(spectra)
+    ]
+
+
 def chernoff_from_spectrum(
     spectrum: EigenSpectrum, unit_tol: float = UNIT_EIGENVALUE_TOL
 ) -> ChernoffResult:
@@ -215,29 +296,7 @@ def chernoff_from_spectrum(
     An all-unit spectrum yields CI = 0 with lambda* = 0.5 and the
     ``degenerate`` flag set instead of an error.
     """
-    try:
-        lam, iterations, residual = _solve_lambda_star(spectrum.values, unit_tol)
-    except DegenerateSpectrum:
-        return ChernoffResult(
-            ci=0.0,
-            lambda_star=0.5,
-            spectrum=spectrum,
-            iterations=0,
-            residual=0.0,
-            degenerate=True,
-        )
-    v = spectrum.values
-    log_beta = float(np.sum(np.log(v)))
-    root = np.sqrt(v)
-    ci = 0.5 * float(np.sum(np.log(lam * root + (1.0 - lam) / root)))
-    ci += 0.5 * (0.5 - lam) * log_beta
-    return ChernoffResult(
-        ci=max(0.0, ci),
-        lambda_star=lam,
-        spectrum=spectrum,
-        iterations=iterations,
-        residual=residual,
-    )
+    return chernoff_from_spectra([spectrum], unit_tol)[0]
 
 
 def chernoff_information(

@@ -237,6 +237,26 @@ def tree_determinant(spec: TreeSpec) -> float:
     return det
 
 
+def spd_factor(arr: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """(exactly symmetrized arr, its lower Cholesky factor) for a (..., N, N) stack.
+
+    Raises NotPositiveDefinite if any matrix has a non-finite entry, is not
+    symmetric to within ``SYMMETRY_RTOL`` relative to its largest entry, or
+    is not positive definite.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise NotPositiveDefinite(f"{name} contains non-finite entries")
+    arr_t = np.swapaxes(arr, -1, -2)
+    scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+    if np.any(np.abs(arr - arr_t).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+        raise NotPositiveDefinite(f"{name} is not symmetric")
+    sym = 0.5 * (arr + arr_t)
+    try:
+        return sym, np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
+
+
 def covariance_from_matrix(matrix, name: str = "matrix") -> CovarianceMatrix:
     """Validate symmetry and positive definiteness, and wrap the array.
 
@@ -249,16 +269,7 @@ def covariance_from_matrix(matrix, name: str = "matrix") -> CovarianceMatrix:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise DimensionMismatch(f"{name} must be at least 1x1")
-    if not np.all(np.isfinite(arr)):
-        raise NotPositiveDefinite(f"{name} contains non-finite entries")
-    scale = max(1.0, float(np.abs(arr).max()))
-    if float(np.abs(arr - arr.T).max()) > SYMMETRY_RTOL * scale:
-        raise NotPositiveDefinite(f"{name} is not symmetric")
-    sym = 0.5 * (arr + arr.T)
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
+    sym, _ = spd_factor(arr, name)
     normalized = bool(np.abs(np.diag(sym) - 1.0).max() <= NORMALIZED_ATOL)
     sym.setflags(write=False)
     return CovarianceMatrix(matrix=sym, dim=sym.shape[0], normalized=normalized)

@@ -66,6 +66,34 @@ def _coerce_pair(sigma1, sigma2) -> tuple[np.ndarray, np.ndarray, int]:
     return c1.matrix, c2.matrix, c1.dim
 
 
+def _whiten(chol2: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """L^{-1} S1 L^{-T}, exactly symmetrized, for S2 = L L^T; on (..., N, N) stacks.
+
+    A single matrix goes through LAPACK's triangular solve.  numpy has no
+    batched triangular solve, and scipy batches only by a Python loop over
+    the stack, so a stack goes through numpy's batched LU solve instead:
+    backward stable as well, and cheap at the small reduced dimensions it
+    serves, but about 2.8x the time of the triangular solve at N = 500.
+    The two agree to rounding.
+    """
+    if chol2.ndim == 2:
+        tmp = solve_triangular(chol2, s1, lower=True)
+        m = solve_triangular(chol2, tmp.T, lower=True)
+    else:
+        tmp = np.linalg.solve(chol2, s1)
+        m = np.linalg.solve(chol2, np.swapaxes(tmp, -1, -2))
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _positive(vals: np.ndarray) -> np.ndarray:
+    """``vals`` (ascending along the last axis) once every entry is positive."""
+    if not np.all(vals[..., 0] > 0.0):
+        raise NotPositiveDefinite(
+            f"generalized eigenvalues must be positive, got min {vals[..., 0].min()}"
+        )
+    return vals
+
+
 def _whitened(sigma1, sigma2) -> tuple[np.ndarray, np.ndarray, int]:
     """Return (L, M, n) with S2 = L L^T and M = L^{-1} S1 L^{-T} symmetric."""
     s1, s2, n = _coerce_pair(sigma1, sigma2)
@@ -73,10 +101,7 @@ def _whitened(sigma1, sigma2) -> tuple[np.ndarray, np.ndarray, int]:
         chol2 = _cholesky(s2, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - caught upstream
         raise NotPositiveDefinite("sigma2 is not positive definite") from exc
-    tmp = solve_triangular(chol2, s1, lower=True)
-    m = solve_triangular(chol2, tmp.T, lower=True)
-    m = 0.5 * (m + m.T)
-    return chol2, m, n
+    return chol2, _whiten(chol2, s1), n
 
 
 def generalized_eigenvalues(sigma1, sigma2) -> EigenSpectrum:
@@ -86,22 +111,24 @@ def generalized_eigenvalues(sigma1, sigma2) -> EigenSpectrum:
     invertible, and strictly positive for SPD inputs.
     """
     _, m, _ = _whitened(sigma1, sigma2)
-    vals = np.linalg.eigvalsh(m)
-    if vals[0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"generalized eigenvalues must be positive, got min {vals[0]}"
-        )
-    return spectrum_from_values(vals)
+    return spectrum_from_values(_positive(np.linalg.eigvalsh(m)))
+
+
+def whitened_eigenvalues(chol2: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Ascending generalized eigenvalues of each pair (S1, L L^T) of a stack.
+
+    ``chol2`` holds the lower Cholesky factors L of the second matrices and
+    ``s1`` the first, both (R, N, N); the result is (R, N).  Row r is what
+    ``generalized_eigenvalues`` gives for pair r, up to rounding.
+    """
+    return _positive(np.linalg.eigvalsh(_whiten(chol2, s1)))
 
 
 def simultaneous_diagonalizer(sigma1, sigma2) -> Diagonalizer:
     """P with P sigma2 P^T = I and P sigma1 P^T diagonal (ascending)."""
     chol2, m, n = _whitened(sigma1, sigma2)
     vals, vecs = _eigh(m)
-    if vals[0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"generalized eigenvalues must be positive, got min {vals[0]}"
-        )
+    _positive(vals)
     linv = solve_triangular(chol2, np.eye(n), lower=True)
     p = vecs.T @ linv
     p.setflags(write=False)

@@ -20,9 +20,10 @@ import numpy as np
 from scipy.linalg import cholesky as _cholesky
 from scipy.linalg import solve_triangular
 
-from .divergence import chernoff_information
+from .divergence import chernoff_from_spectra
 from .errors import DimensionMismatch, ParseError, ValidationError
 from .gaussian_tree import CovarianceMatrix, as_covariance, tree_from_json
+from .geneig import generalized_eigenvalues
 
 MIN_ERRORS_FOR_FIT = 10
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -129,11 +130,13 @@ def map_classify(x, hyps: HypothesisSet) -> int:
 
 def min_pairwise_chernoff(hyps: HypothesisSet) -> float:
     """The predicted error exponent: the smallest pairwise CI."""
-    best = math.inf
-    for a in range(len(hyps.models)):
-        for b in range(a + 1, len(hyps.models)):
-            best = min(best, chernoff_information(hyps.models[a], hyps.models[b]).ci)
-    return best
+    models = hyps.models
+    spectra = [
+        generalized_eigenvalues(models[a], models[b])
+        for a in range(len(models))
+        for b in range(a + 1, len(models))
+    ]
+    return min((r.ci for r in chernoff_from_spectra(spectra)), default=math.inf)
 
 
 def _allocate(trials: int, priors: np.ndarray) -> np.ndarray:

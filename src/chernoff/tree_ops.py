@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .divergence import ChernoffResult, chernoff_information, sigma_lambda
+from .divergence import ChernoffResult, chernoff_from_spectra, sigma_lambda
 from .errors import (
     DeterminantMismatch,
     DimensionMismatch,
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .gaussian_tree import TreeSpec, as_covariance, build_covariance, tree_from_json, validate_tree
 from .gaussian_tree import _json_float, _json_int
+from .geneig import generalized_eigenvalues
 
 EDGE_WEIGHT_ATOL = 1e-12
 DETERMINANT_RTOL = 1e-9
@@ -390,13 +391,14 @@ def trace_condition(sigma1, sigma2) -> float:
 
 
 def chain_pairwise_chernoff(chain: GraftChain) -> dict[tuple[int, int], ChernoffResult]:
-    """Chernoff result for every tree pair (a, b) with a < b, 0-based."""
+    """Chernoff result for every tree pair (a, b) with a < b, 0-based.
+
+    The spectra of all pairs are solved for lambda* in one stack.
+    """
     covs = [build_covariance(t) for t in chain.trees]
-    out: dict[tuple[int, int], ChernoffResult] = {}
-    for a in range(len(covs)):
-        for b in range(a + 1, len(covs)):
-            out[(a, b)] = chernoff_information(covs[a], covs[b])
-    return out
+    pairs = [(a, b) for a in range(len(covs)) for b in range(a + 1, len(covs))]
+    spectra = [generalized_eigenvalues(covs[a], covs[b]) for a, b in pairs]
+    return dict(zip(pairs, chernoff_from_spectra(spectra)))
 
 
 def chain_ci_matrix(chain: GraftChain, pairwise=None) -> np.ndarray:

@@ -16,6 +16,7 @@ from chernoff import (
     build_covariance,
     chernoff_information,
     gaussian_tree,
+    geneig,
     tree_to_json,
 )
 from chernoff.cli import main
@@ -372,6 +373,58 @@ class TestDimredCommand:
         code, result, _ = _run(capsys, ["dimred", a, b, "--n-out", "7"])
         assert code == 2
         assert result["payload"]["code"] == "invalid_budget"
+
+    def test_negative_random_count_exits_2(self, tmp_path, capsys):
+        a, b = self._pair_files(tmp_path)
+        code, result, _ = _run(
+            capsys, ["dimred", a, b, "--n-out", "1", "--compare-random", "-3"]
+        )
+        assert code == 2
+        assert result["payload"]["code"] == "parse"
+
+    def test_zero_random_count_adds_no_keys(self, tmp_path, capsys):
+        a, b = self._pair_files(tmp_path)
+        code, result, _ = _run(
+            capsys, ["dimred", a, b, "--n-out", "1", "--compare-random", "0"]
+        )
+        assert code == 0
+        assert not {"random_projection_best_ci", "random_projection_count"} & set(
+            result["payload"]
+        )
+
+    @pytest.mark.parametrize("n_out", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "s1",
+        [
+            np.diag([2.0, 2.0, 0.5]),
+            np.diag([1.0 + 5e-13, 3.0, 0.25]),  # inside the 1e-12 margin
+            np.diag([1.0 + 5e-12, 3.0, 0.25]),  # outside it
+            [[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 0.4]],
+        ],
+    )
+    def test_m_counts_full_spectrum_above_one(self, tmp_path, capsys, s1, n_out):
+        a = _write(tmp_path, "s1.json", np.asarray(s1).tolist())
+        b = _write(tmp_path, "s2.json", np.eye(3).tolist())
+        code, result, _ = _run(capsys, ["dimred", a, b, "--n-out", str(n_out)])
+        assert code == 0
+        values = np.linalg.eigvalsh(np.asarray(s1, dtype=float))
+        assert result["payload"]["m"] == int(np.sum(values > 1.0 + 1e-12))
+
+    def test_one_spectrum_of_the_full_pair(self, tmp_path, capsys, monkeypatch):
+        dims = []
+        whitened = geneig._whitened
+
+        def spy(sigma1, sigma2):
+            out = whitened(sigma1, sigma2)
+            dims.append(out[2])
+            return out
+
+        monkeypatch.setattr(geneig, "_whitened", spy)
+        a, b = self._pair_files(tmp_path)
+        argv = ["dimred", a, b, "--n-out", "1", "--compare-pca", "--compare-random", "20"]
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        assert dims.count(3) == 1
 
 
 class TestSimulateCommand:

@@ -1,6 +1,7 @@
 """Candidate projections, optimality, interlacing, and the PCA baseline."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from chernoff import (
     simultaneous_diagonalizer,
     spectrum_from_values,
 )
-from chernoff.errors import InvalidBudget, RankDeficientProjection
+from chernoff import dimred
+from chernoff.dimred import best_random_projection_ci, projected_chernoff
+from chernoff.errors import InvalidBudget, NotPositiveDefinite, RankDeficientProjection
 from helpers import (
     batched_projection_ci,
     random_invertible,
@@ -196,6 +199,80 @@ class TestReducedPair:
         s1, s2 = random_spd(rng, 3), random_spd(rng, 3)
         with pytest.raises(RankDeficientProjection):
             reduced_pair(rng.standard_normal((4, 3)), s1, s2)
+
+
+
+class TestBatchedProjections:
+    def test_best_random_ci_equals_scalar_loop(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        s1, s2 = random_spd(rng, 40), random_spd(rng, 40)
+        monkeypatch.setattr(dimred, "RANDOM_BLOCK_BYTES", 8 * 5 * 40 * 400)
+        assert dimred.random_block_size(5, 40) == 400
+        count = 1500  # four blocks, the last one partial
+        batched = best_random_projection_ci(s1, s2, 5, count, np.random.default_rng(32))
+        draws = np.random.default_rng(32)
+        looped = max(
+            chernoff_information(*reduced_pair(draws.standard_normal((5, 40)), s1, s2)).ci
+            for _ in range(count)
+        )
+        assert batched == pytest.approx(looped, rel=1e-12, abs=0.0)
+
+    def test_each_projection_matches_reduced_pair(self):
+        rng = np.random.default_rng(33)
+        s1, s2 = random_spd(rng, 8), random_spd(rng, 8)
+        stack = rng.standard_normal((30, 3, 8))
+        got = projected_chernoff(stack, s1, s2)
+        for a, ci in zip(stack, got):
+            expected = chernoff_information(*reduced_pair(a, s1, s2)).ci
+            assert ci == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_block_memory_does_not_grow_with_projection_size(self):
+        rng = np.random.default_rng(37)
+        s1, s2 = random_spd(rng, 400), random_spd(rng, 400)
+        block = dimred.random_block_size(100, 400)
+        count = 6 * block + 1
+        tracemalloc.start()
+        try:
+            best_random_projection_ci(s1, s2, 100, count, np.random.default_rng(38))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured: about 3.4x the budget here, and at most 5.3x over other
+        # shapes up to N_O = 250, N = 500.  One block of all ``count``
+        # projections takes about 17x.
+        assert peak <= 8 * dimred.RANDOM_BLOCK_BYTES
+
+    def test_block_size_is_at_least_one(self):
+        assert dimred.random_block_size(1, 1) == dimred.RANDOM_BLOCK_BYTES // 8
+        assert dimred.random_block_size(2000, 2000) == 1
+
+    def test_zero_row_projections_rejected(self):
+        rng = np.random.default_rng(39)
+        s1, s2 = random_spd(rng, 4), random_spd(rng, 4)
+        with pytest.raises(RankDeficientProjection):
+            best_random_projection_ci(s1, s2, 0, 3, np.random.default_rng(0))
+
+    def test_zero_count_gives_zero(self):
+        rng = np.random.default_rng(34)
+        s1, s2 = random_spd(rng, 4), random_spd(rng, 4)
+        draws = np.random.default_rng(0)
+        assert best_random_projection_ci(s1, s2, 2, 0, draws) == 0.0
+
+    def test_rank_deficient_projection_in_stack_rejected(self):
+        rng = np.random.default_rng(35)
+        s1, s2 = random_spd(rng, 6), random_spd(rng, 6)
+        stack = rng.standard_normal((10, 2, 6))
+        stack[7, 1] = 3.0 * stack[7, 0]
+        with pytest.raises(RankDeficientProjection):
+            projected_chernoff(stack, s1, s2)
+
+    def test_non_finite_reduction_rejected(self):
+        rng = np.random.default_rng(36)
+        s1, s2 = random_spd(rng, 4), random_spd(rng, 4)
+        stack = rng.standard_normal((3, 2, 4))
+        stack[1] *= 1e160  # full rank, but A S Aᵀ overflows
+        with pytest.raises(NotPositiveDefinite), np.errstate(over="ignore"):
+            projected_chernoff(stack, s1, s2)
 
 
 class TestPcaBaseline:

@@ -8,6 +8,7 @@ second hypothesis, so the interpolant starts at the first covariance).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from chernoff import (
     sigma_lambda,
     spectrum_from_values,
 )
+from chernoff import divergence
+from chernoff.divergence import chernoff_from_spectra
 from chernoff.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -277,6 +280,108 @@ class TestInterpolantDivergences:
             u = (1.0 - lam) + lam * values
             total = (1.0 - lam) * np.sum(1.0 / u) + lam * np.sum(values / u)
             assert total == pytest.approx(6.0, abs=1e-12)
+
+
+def _oracle_check(values, lam, delta=5e-13):
+    """40-digit check of a balance point: (brackets the root, CI there).
+
+    h(t) = D(S_t||S1) - D(S_t||S2) is strictly increasing, so
+    h(lam - delta) < 0 < h(lam + delta) puts the root within ``delta`` of
+    lam.  C(t) = (sum_i ln u_i - t ln beta) / 2 is stationary at the root,
+    where it equals the Chernoff information, so C(lam) is that value up
+    to a term of order delta^2.
+    """
+    with mpmath.workdps(40):
+        v = [mpmath.mpf(float(x)) for x in values]
+        log_beta = mpmath.log(mpmath.fprod(v))
+
+        def h(t):
+            return log_beta + mpmath.fsum((1 - x) / (1 - t + t * x) for x in v)
+
+        t = mpmath.mpf(float(lam))
+        brackets = h(t - delta) < 0 < h(t + delta)
+        ci = (mpmath.log(mpmath.fprod(1 - t + t * x for x in v)) - t * log_beta) / 2
+        return brackets, float(ci)
+
+
+def _extreme_spectra(seed, count):
+    """``count`` spectra of 1..40 eigenvalues, log-uniform on [e^-8, e^8]."""
+    rng = np.random.default_rng(seed)
+    return [
+        np.exp(rng.uniform(-8.0, 8.0, size=int(rng.integers(1, 41))))
+        for _ in range(count)
+    ]
+
+
+class TestStackedSolver:
+    def test_stack_equals_rows_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 3, 8, 40, 130):
+            rows = [np.exp(rng.uniform(-8.0, 8.0, size=n)) for _ in range(25)]
+            rows.append(1.0 / rows[0])
+            rows.append(np.ones(n))
+            spectra = [spectrum_from_values(r) for r in rows]
+            stacked = chernoff_from_spectra(spectra)
+            for spectrum, got in zip(spectra, stacked):
+                assert got == chernoff_from_spectrum(spectrum)
+
+    def test_mixed_dimensions_rejected(self):
+        spectra = [spectrum_from_values([2.0]), spectrum_from_values([2.0, 3.0])]
+        with pytest.raises(DimensionMismatch):
+            chernoff_from_spectra(spectra)
+
+    def test_within_1e12_of_mpmath_root_on_extreme_spectra(self):
+        misses, worst_ci, most_steps = 0, 0.0, 0
+        for values in _extreme_spectra(22, 3000):
+            result = chernoff_from_spectrum(spectrum_from_values(values))
+            brackets, ci = _oracle_check(values, result.lambda_star)
+            misses += not brackets
+            worst_ci = max(worst_ci, abs(result.ci - ci) / ci)
+            most_steps = max(most_steps, result.iterations)
+        assert misses == 0
+        assert worst_ci <= 1e-12
+        assert most_steps <= 20
+
+    def test_reciprocal_spectrum_mirrors_balance_point(self):
+        for values in _extreme_spectra(23, 300):
+            fwd = chernoff_from_spectrum(spectrum_from_values(values))
+            rev = chernoff_from_spectrum(spectrum_from_values(1.0 / values))
+            assert abs(fwd.lambda_star - (1.0 - rev.lambda_star)) <= 1e-15
+            assert rev.ci == pytest.approx(fwd.ci, rel=1e-15, abs=0.0)
+        fwd = chernoff_from_spectrum(spectrum_from_values([2.0, 8.0, 0.25]))
+        rev = chernoff_from_spectrum(spectrum_from_values([0.5, 0.125, 4.0]))
+        assert fwd.ci == rev.ci
+        assert fwd.lambda_star == 1.0 - rev.lambda_star
+
+    def test_near_unit_single_eigenvalue_converges(self):
+        values = [1.1278156511589181]
+        result = chernoff_from_spectrum(spectrum_from_values(values))
+        brackets, ci = _oracle_check(values, result.lambda_star)
+        assert result.iterations <= 20
+        assert brackets
+        assert result.ci == pytest.approx(ci, rel=1e-12)
+
+    def test_near_unit_spectra_converge_under_cap(self):
+        # h is roundoff-limited here; the step-halving rule turns Newton
+        # steps that wander on that noise into bisection steps
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            values = 1.0 + rng.normal(0.0, 1e-6, size=int(rng.integers(1, 41)))
+            result = chernoff_from_spectrum(spectrum_from_values(values))
+            assert result.iterations < divergence.MAX_ITERATIONS
+            assert 0.0 <= result.lambda_star <= 1.0
+
+    def test_no_convergence_at_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(divergence, "MAX_ITERATIONS", 1)
+        with pytest.raises(NumericDomainError) as info:
+            chernoff_from_spectrum(spectrum_from_values([9.2341, 0.1019, 1.2982]))
+        assert info.value.code == "solver_not_converged"
+
+    def test_exact_midpoint_takes_no_step(self):
+        result = chernoff_from_spectrum(spectrum_from_values([4.0, 0.25]))
+        assert result.lambda_star == 0.5
+        assert result.iterations == 0
+        assert result.residual == 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,6 +25,7 @@ from chernoff.errors import (
     ParseError,
     WeightOutOfRange,
 )
+from chernoff.gaussian_tree import spd_factor
 from helpers import path_product_covariance, random_tree
 
 CHAIN = TreeSpec(3, ((1, 2, 0.5), (2, 3, 0.6)))
@@ -248,3 +249,27 @@ class TestCovarianceFromMatrix:
     def test_normalized_flag(self):
         assert covariance_from_matrix(np.eye(3)).normalized
         assert not covariance_from_matrix(2.0 * np.eye(3)).normalized
+
+
+class TestSpdFactorStack:
+    def test_stack_factors_match_single_matrices(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 3, 6))
+        stack = x @ x.transpose(0, 2, 1)
+        sym, chol = spd_factor(stack)
+        for r in range(4):
+            assert np.array_equal(chol[r], np.linalg.cholesky(sym[r]))
+        np.testing.assert_allclose(chol @ chol.transpose(0, 2, 1), stack, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[1.0, 0.5], [0.2, 1.0]], "not symmetric"),
+            ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+            ([[1.0, np.inf], [np.inf, 1.0]], "non-finite"),
+        ],
+    )
+    def test_one_bad_matrix_rejects_the_stack(self, bad, message):
+        stack = np.stack([np.eye(2), np.array(bad), np.eye(2)])
+        with pytest.raises(NotPositiveDefinite, match=message):
+            spd_factor(stack, name="stack")
