@@ -27,7 +27,6 @@ from .dimred import (
     candidate_reductions,
     optimal_reduction,
     pca_baseline,
-    per_dimension_divergence,
     reduced_pair,
 )
 from .gaussian_tree import (
@@ -119,7 +118,6 @@ __all__ = [
     "min_pairwise_chernoff",
     "optimal_reduction",
     "pca_baseline",
-    "per_dimension_divergence",
     "reduced_pair",
     "sample_sequence",
     "sigma_lambda",

@@ -112,8 +112,10 @@ def _reduced_stack(a: np.ndarray, sigma1, sigma2) -> tuple[np.ndarray, np.ndarra
     if np.any(svals[:, -1] <= 1e-12 * svals[:, 0]):
         raise RankDeficientProjection("projection rows are not linearly independent")
     a_t = a.transpose(0, 2, 1)
-    r1, r2 = a @ s1 @ a_t, a @ s2 @ a_t
-    return 0.5 * (r1 + r1.transpose(0, 2, 1)), 0.5 * (r2 + r2.transpose(0, 2, 1))
+    # an overflowing product is left non-finite for spd_factor to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2 = a @ s1 @ a_t, a @ s2 @ a_t
+        return 0.5 * (r1 + r1.transpose(0, 2, 1)), 0.5 * (r2 + r2.transpose(0, 2, 1))
 
 
 def reduced_pair(a, sigma1, sigma2) -> tuple[CovarianceMatrix, CovarianceMatrix]:
@@ -181,13 +183,3 @@ def pca_baseline(sigma, n_out: int) -> np.ndarray:
     order = np.argsort(vals)[::-1][:n_out]
     return vecs[:, order].T.copy()
 
-
-def per_dimension_divergence(value: float, lam: float) -> float:
-    """Contribution ln(u) + 1/u - 1 with u = (1-lam) + lam*value.
-
-    This is one coordinate's share of D(S_lam || S1); it vanishes at
-    value = 1 and increases monotonically as value moves away from 1 on
-    either side.  Exposed for the dominance test harness.
-    """
-    u = (1.0 - lam) + lam * value
-    return float(np.log(u) + 1.0 / u - 1.0)

@@ -41,12 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg import cholesky as _cholesky
 
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
-    NotPositiveDefinite,
     NumericDomainError,
 )
 from .gaussian_tree import CovarianceMatrix, covariance_from_matrix
@@ -80,26 +78,15 @@ class ChernoffResult:
     degenerate: bool = False
 
 
-def _logdet_spd(matrix: np.ndarray, name: str) -> float:
-    try:
-        chol = _cholesky(matrix, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def kl_divergence(sigma1, sigma2) -> float:
     """D(N(0,sigma1) || N(0,sigma2)) in nats, clamped at zero.
 
-    Determinants and the trace term go through Cholesky factorizations; no
-    explicit inverse is formed.
+    Determinants and the trace term use the Cholesky factors kept on the
+    covariances; no explicit inverse is formed.
     """
-    s1, s2, n = _coerce_pair(sigma1, sigma2)
-    logdet1 = _logdet_spd(s1, "sigma1")
-    c2 = cho_factor(s2, lower=True)
-    logdet2 = 2.0 * float(np.sum(np.log(np.diag(c2[0]))))
-    trace = float(np.trace(cho_solve(c2, s1)))
-    return max(0.0, 0.5 * (logdet2 - logdet1 + trace - n))
+    c1, c2 = _coerce_pair(sigma1, sigma2)
+    trace = float(np.trace(cho_solve((c2.chol, True), c1.matrix)))
+    return max(0.0, 0.5 * (c2.logdet - c1.logdet + trace - c1.dim))
 
 
 def kl_from_spectrum(spectrum: EigenSpectrum, direction: str = "forward") -> float:
@@ -127,11 +114,11 @@ def _check_lambda(lam: float) -> None:
 
 def sigma_lambda(sigma1, sigma2, lam: float) -> CovarianceMatrix:
     """Interpolant with precision (1-t) S1^{-1} + t S2^{-1}; SPD on [0, 1]."""
-    s1, s2, n = _coerce_pair(sigma1, sigma2)
+    c1, c2 = _coerce_pair(sigma1, sigma2)
     _check_lambda(lam)
-    eye = np.eye(n)
-    inv1 = cho_solve(cho_factor(s1, lower=True), eye)
-    inv2 = cho_solve(cho_factor(s2, lower=True), eye)
+    eye = np.eye(c1.dim)
+    inv1 = cho_solve((c1.chol, True), eye)
+    inv2 = cho_solve((c2.chol, True), eye)
     mix = (1.0 - lam) * inv1 + lam * inv2
     mix = 0.5 * (mix + mix.T)
     out = cho_solve(cho_factor(mix, lower=True), eye)

@@ -69,11 +69,24 @@ class TreeSpec:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric positive-definite matrix with light metadata."""
+    """Symmetric positive-definite matrix, its Cholesky factor and light metadata.
+
+    ``chol`` is the read-only lower Cholesky factor L with L L^T = ``matrix``
+    that ``covariance_from_matrix`` computed to establish positive
+    definiteness.  Whitening, solves, log-determinants and sampling all use
+    it, so each matrix is factored once.  It takes no part in equality or
+    ``repr``.
+    """
 
     matrix: np.ndarray
     dim: int
     normalized: bool
+    chol: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def logdet(self) -> float:
+        """ln det(matrix) = 2 sum ln diag(L)."""
+        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 def _json_int(value, what: str) -> int:
@@ -262,17 +275,18 @@ def covariance_from_matrix(matrix, name: str = "matrix") -> CovarianceMatrix:
 
     Symmetry is required to within ``SYMMETRY_RTOL`` relative tolerance and
     the stored matrix is exactly symmetrized.  Positive definiteness is
-    established by a Cholesky factorization.
+    established by a Cholesky factorization, which is kept as ``chol``.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise DimensionMismatch(f"{name} must be at least 1x1")
-    sym, _ = spd_factor(arr, name)
+    sym, chol = spd_factor(arr, name)
     normalized = bool(np.abs(np.diag(sym) - 1.0).max() <= NORMALIZED_ATOL)
     sym.setflags(write=False)
-    return CovarianceMatrix(matrix=sym, dim=sym.shape[0], normalized=normalized)
+    chol.setflags(write=False)
+    return CovarianceMatrix(matrix=sym, dim=sym.shape[0], normalized=normalized, chol=chol)
 
 
 def as_covariance(value, name: str = "matrix") -> CovarianceMatrix:

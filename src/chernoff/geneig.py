@@ -5,11 +5,12 @@ S1 S2^{-1} (equivalently roots of det(t S2 - S1) = 0); they are all
 positive, and there is an invertible P with P S2 P^T = I and
 P S1 P^T = diag of those eigenvalues.
 
-P is built by the symmetric whitening route: factor S2 = L L^T, form the
-symmetric matrix L^{-1} S1 L^{-T}, eigendecompose it orthogonally as
-U diag(vals) U^T, and take P = U^T L^{-1}.  This handles repeated
-eigenvalues without any non-orthogonal eigenbasis; downstream code relies
-only on the congruence contract, never on a particular P.
+P is built by the symmetric whitening route: take the Cholesky factor
+S2 = L L^T kept on S2's CovarianceMatrix, form the symmetric matrix
+L^{-1} S1 L^{-T}, eigendecompose it orthogonally as U diag(vals) U^T, and
+take P = U^T L^{-1}.  This handles repeated eigenvalues without any
+non-orthogonal eigenbasis; downstream code relies only on the congruence
+contract, never on a particular P.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
 from scipy.linalg import eigh as _eigh
 from scipy.linalg import solve_triangular
 
@@ -58,12 +58,12 @@ def spectrum_from_values(values) -> EigenSpectrum:
     return EigenSpectrum(values=vals, beta=float(np.prod(vals)), dim=vals.size)
 
 
-def _coerce_pair(sigma1, sigma2) -> tuple[np.ndarray, np.ndarray, int]:
+def _coerce_pair(sigma1, sigma2) -> tuple[CovarianceMatrix, CovarianceMatrix]:
     c1 = as_covariance(sigma1, name="sigma1")
     c2 = as_covariance(sigma2, name="sigma2")
     if c1.dim != c2.dim:
         raise DimensionMismatch(f"dimension mismatch: {c1.dim} vs {c2.dim}")
-    return c1.matrix, c2.matrix, c1.dim
+    return c1, c2
 
 
 def _whiten(chol2: np.ndarray, s1: np.ndarray) -> np.ndarray:
@@ -96,12 +96,8 @@ def _positive(vals: np.ndarray) -> np.ndarray:
 
 def _whitened(sigma1, sigma2) -> tuple[np.ndarray, np.ndarray, int]:
     """Return (L, M, n) with S2 = L L^T and M = L^{-1} S1 L^{-T} symmetric."""
-    s1, s2, n = _coerce_pair(sigma1, sigma2)
-    try:
-        chol2 = _cholesky(s2, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - caught upstream
-        raise NotPositiveDefinite("sigma2 is not positive definite") from exc
-    return chol2, _whiten(chol2, s1), n
+    c1, c2 = _coerce_pair(sigma1, sigma2)
+    return c2.chol, _whiten(c2.chol, c1.matrix), c1.dim
 
 
 def generalized_eigenvalues(sigma1, sigma2) -> EigenSpectrum:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
 from scipy.linalg import solve_triangular
 
 from .divergence import chernoff_from_spectra
@@ -90,17 +89,12 @@ def sample_sequence(sigma, t: int, seed) -> np.ndarray:
     if t < 1:
         raise ValidationError(f"sequence length must be >= 1, got {t}")
     cov = as_covariance(sigma)
-    lower = _cholesky(cov.matrix, lower=True)
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((t, cov.dim)) @ lower.T
+    return rng.standard_normal((t, cov.dim)) @ cov.chol.T
 
 
 def _model_factors(hyps: HypothesisSet) -> list[tuple[np.ndarray, float]]:
-    out = []
-    for cov in hyps.models:
-        lower = _cholesky(cov.matrix, lower=True)
-        out.append((lower, 2.0 * float(np.sum(np.log(np.diag(lower))))))
-    return out
+    return [(cov.chol, cov.logdet) for cov in hyps.models]
 
 
 def _log_likelihoods(x: np.ndarray, factors) -> np.ndarray:

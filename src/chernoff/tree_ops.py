@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .divergence import ChernoffResult, chernoff_from_spectra, sigma_lambda
 from .errors import (
@@ -42,9 +42,9 @@ from .errors import (
     WeightOutOfRange,
     WouldCreateCycle,
 )
-from .gaussian_tree import TreeSpec, as_covariance, build_covariance, tree_from_json, validate_tree
+from .gaussian_tree import TreeSpec, build_covariance, tree_from_json, validate_tree
 from .gaussian_tree import _json_float, _json_int
-from .geneig import generalized_eigenvalues
+from .geneig import _coerce_pair, generalized_eigenvalues
 
 EDGE_WEIGHT_ATOL = 1e-12
 DETERMINANT_RTOL = 1e-9
@@ -196,27 +196,32 @@ def division_operation(
     return split(t1), split(t2)
 
 
-def _component(nodes_adj: dict[int, list[int]], start: int, blocked_edge=None) -> set[int]:
-    """Nodes reachable from ``start``; ``blocked_edge`` (a,b) is impassable."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in nodes_adj[v]:
-            if blocked_edge is not None and {v, u} == set(blocked_edge):
-                continue
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+def _components(nodes, edges) -> list[set[int]]:
+    """Connected components of the subgraph of ``edges`` induced on ``nodes``.
 
-
-def _plain_adjacency(spec: TreeSpec) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, spec.node_count + 1)}
-    for i, j, _ in spec.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
+    Edges with an end outside ``nodes`` are ignored.  Components are listed
+    in the order of their smallest node.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    for i, j, _ in edges:
+        if i in adj and j in adj:
+            adj[i].append(j)
+            adj[j].append(i)
+    components: list[set[int]] = []
+    seen: set[int] = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        components.append(comp)
+    return components
 
 
 def apply_graft(tree: TreeSpec, op: GraftOp) -> TreeSpec:
@@ -241,11 +246,10 @@ def apply_graft(tree: TreeSpec, op: GraftOp) -> TreeSpec:
         )
     if q == i:
         raise WouldCreateCycle(f"new anchor {q} is the moved subtree's root")
-    adj = _plain_adjacency(tree)
-    anchored = _component(adj, p, blocked_edge=(i, p))
+    kept = tuple(e for e in tree.edges if (min(e[0], e[1]), max(e[0], e[1])) != key)
+    anchored = next(c for c in _components(range(1, n + 1), kept) if p in c)
     if q not in anchored:
         raise WouldCreateCycle(f"new anchor {q} lies inside the moved subtree")
-    kept = tuple(e for e in tree.edges if (min(e[0], e[1]), max(e[0], e[1])) != key)
     return validate_tree(TreeSpec(n, kept + ((i, q, w),)))
 
 
@@ -304,44 +308,19 @@ def is_independent_chain(chain: GraftChain) -> IndependenceReport:
         )
 
     base = chain.base
-    adj = _plain_adjacency(base)
+    nodes = set(range(1, base.node_count + 1))
     anchors = {op.old_neighbor for op in chain.ops} | {
         op.new_neighbor for op in chain.ops
     }
-    candidates = []
-    remaining = set(range(1, base.node_count + 1)) - anchors
-    while remaining:
-        start = next(iter(remaining))
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u in remaining and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        remaining -= comp
-        candidates.append(comp)
+    candidates = _components(nodes - anchors, base.edges)
 
     best_pairs: tuple[tuple[int, int], ...] = tuple(
         (k, l) for k in range(n_ops) for l in range(k + 1, n_ops)
     )
     for center in candidates:
-        outside = set(range(1, base.node_count + 1)) - center
         co_resident: set[tuple[int, int]] = set()
-        seen_out: set[int] = set()
         ok = True
-        while outside - seen_out:
-            start = next(iter(outside - seen_out))
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u in outside and u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen_out |= comp
+        for comp in _components(nodes - center, base.edges):
             touching = [k for k in range(n_ops) if modified[k] & comp]
             if len(touching) > 1:
                 ok = False
@@ -373,21 +352,17 @@ def trace_condition(sigma1, sigma2) -> float:
     Requires |S1| = |S2| (relative tolerance 1e-9); under that assumption
     the value is zero exactly when the balance point is 1/2.
     """
-    c1m = as_covariance(sigma1, name="sigma1")
-    c2m = as_covariance(sigma2, name="sigma2")
-    if c1m.dim != c2m.dim:
-        raise DimensionMismatch(f"dimension mismatch: {c1m.dim} vs {c2m.dim}")
-    f1 = cho_factor(c1m.matrix, lower=True)
-    f2 = cho_factor(c2m.matrix, lower=True)
-    logdet1 = 2.0 * float(np.sum(np.log(np.diag(f1[0]))))
-    logdet2 = 2.0 * float(np.sum(np.log(np.diag(f2[0]))))
-    if abs(logdet1 - logdet2) > DETERMINANT_RTOL:
+    c1, c2 = _coerce_pair(sigma1, sigma2)
+    gap = abs(c1.logdet - c2.logdet)
+    if gap > DETERMINANT_RTOL:
         raise DeterminantMismatch(
-            f"log-determinants differ by {abs(logdet1 - logdet2):.3e}; "
+            f"log-determinants differ by {gap:.3e}; "
             "the midpoint characterization needs equal determinants"
         )
-    half = sigma_lambda(c1m, c2m, 0.5).matrix
-    return float(np.trace(cho_solve(f1, half)) - np.trace(cho_solve(f2, half)))
+    half = sigma_lambda(c1, c2, 0.5).matrix
+    return float(
+        np.trace(cho_solve((c1.chol, True), half)) - np.trace(cho_solve((c2.chol, True), half))
+    )
 
 
 def chain_pairwise_chernoff(chain: GraftChain) -> dict[tuple[int, int], ChernoffResult]:

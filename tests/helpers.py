@@ -58,6 +58,17 @@ def path_product_covariance(spec):
     return cov, hops
 
 
+def per_dimension_divergence(value: float, lam: float) -> float:
+    """Contribution ln(u) + 1/u - 1 with u = (1-lam) + lam*value.
+
+    This is one coordinate's share of D(S_lam || S1); it vanishes at
+    value = 1 and increases monotonically as value moves away from 1 on
+    either side.
+    """
+    u = (1.0 - lam) + lam * value
+    return float(np.log(u) + 1.0 / u - 1.0)
+
+
 def random_spd(rng, n, spread=1.0):
     """Random SPD matrix with moderate conditioning."""
     a = rng.standard_normal((n, n)) * spread

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import chernoff
 from chernoff import (
@@ -15,12 +16,16 @@ from chernoff import (
     ZeroWeightWarning,
     build_covariance,
     chernoff_information,
+    divergence,
     gaussian_tree,
     geneig,
+    graft_op_to_json,
+    simulate,
+    tree_ops,
     tree_to_json,
 )
 from chernoff.cli import main
-from helpers import DEPENDENT_BASE, DEPENDENT_OPS, independent_chain_case
+from helpers import DEPENDENT_BASE, DEPENDENT_OPS, independent_chain_case, random_tree
 
 CHAIN_TREE = {"nodes": 3, "edges": [[1, 2, 0.5], [2, 3, 0.6]]}
 
@@ -134,6 +139,64 @@ class TestValidateOnce:
         assert code == 0
         assert len(runs) == len(paths)
         assert [w.category for w in recwarn] == [ZeroWeightWarning]
+
+
+class TestOneFactorPerMatrix:
+    """Every covariance a command reads is Cholesky-factored exactly once."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+
+        def counting(factor):
+            def wrapper(*args, **kwargs):
+                calls.append(factor)
+                return factor(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky))
+        scipy_factors = (scipy.linalg.cholesky, scipy.linalg.cho_factor)
+        for module in (gaussian_tree, geneig, divergence, simulate, tree_ops):
+            for attr, obj in list(vars(module).items()):
+                if any(obj is f for f in scipy_factors):
+                    monkeypatch.setattr(module, attr, counting(obj))
+        return calls
+
+    def test_ci_on_two_trees(self, tmp_path, capsys, factorizations):
+        rng = np.random.default_rng(8)
+        paths = [
+            _write(tmp_path, f"t{k}.json", tree_to_json(random_tree(rng, 20)))
+            for k in range(2)
+        ]
+        code, _, _ = _run(capsys, ["ci", *paths])
+        assert code == 0
+        assert len(factorizations) == 2
+
+    def test_chain_factors_each_tree_once(self, tmp_path, capsys, factorizations):
+        chain, _ = independent_chain_case(np.random.default_rng(3), n_ops=3)
+        obj = {
+            "base": tree_to_json(chain.base),
+            "ops": [graft_op_to_json(op) for op in chain.ops],
+        }
+        path = _write(tmp_path, "chain.json", obj)
+        code, result, _ = _run(capsys, ["chain", path, "--verify-ordering"])
+        assert code == 0
+        assert result["payload"]["tree_count"] == len(chain.trees) == 4
+        assert len(factorizations) == len(chain.trees)
+
+    def test_simulate_factors_each_model_once(self, tmp_path, capsys, factorizations):
+        rng = np.random.default_rng(9)
+        config = {
+            "models": [tree_to_json(random_tree(rng, 6)) for _ in range(3)],
+            "priors": [0.5, 0.25, 0.25],
+            "t_grid": [1, 2, 3],
+            "trials": 300,
+            "seed": 4,
+        }
+        code, _, _ = _run(capsys, ["simulate", _write(tmp_path, "config.json", config)])
+        assert code == 0
+        assert len(factorizations) == 3
 
 
 class TestCiCommand:

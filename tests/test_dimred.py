@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from chernoff import (
     generalized_eigenvalues,
     optimal_reduction,
     pca_baseline,
-    per_dimension_divergence,
     reduced_pair,
     simultaneous_diagonalizer,
     spectrum_from_values,
@@ -24,6 +24,7 @@ from chernoff.dimred import best_random_projection_ci, projected_chernoff
 from chernoff.errors import InvalidBudget, NotPositiveDefinite, RankDeficientProjection
 from helpers import (
     batched_projection_ci,
+    per_dimension_divergence,
     random_invertible,
     random_spd,
     random_tree,
@@ -273,6 +274,16 @@ class TestBatchedProjections:
         stack[1] *= 1e160  # full rank, but A S Aᵀ overflows
         with pytest.raises(NotPositiveDefinite), np.errstate(over="ignore"):
             projected_chernoff(stack, s1, s2)
+
+    def test_overflowing_reduction_warns_nothing(self):
+        rng = np.random.default_rng(36)
+        s1, s2 = random_spd(rng, 4), random_spd(rng, 4)
+        stack = rng.standard_normal((3, 2, 4))
+        stack[1] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="non-finite"):
+                projected_chernoff(stack, s1, s2)
 
 
 class TestPcaBaseline:

@@ -26,7 +26,7 @@ from chernoff.errors import (
     WeightOutOfRange,
 )
 from chernoff.gaussian_tree import spd_factor
-from helpers import path_product_covariance, random_tree
+from helpers import path_product_covariance, random_spd, random_tree
 
 CHAIN = TreeSpec(3, ((1, 2, 0.5), (2, 3, 0.6)))
 
@@ -249,6 +249,23 @@ class TestCovarianceFromMatrix:
     def test_normalized_flag(self):
         assert covariance_from_matrix(np.eye(3)).normalized
         assert not covariance_from_matrix(2.0 * np.eye(3)).normalized
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kept_factor_and_logdet(self, seed):
+        rng = np.random.default_rng(seed)
+        for cov in (
+            covariance_from_matrix(1e3 * random_spd(rng, 8)),
+            build_covariance(random_tree(rng, 40)),
+        ):
+            chol = cov.chol
+            assert not chol.flags.writeable
+            assert np.array_equal(chol, np.tril(chol))
+            residual = np.abs(chol @ chol.T - cov.matrix).max()
+            assert residual <= 1e-13 * np.abs(cov.matrix).max()
+            sign, logdet = np.linalg.slogdet(cov.matrix)
+            assert sign == 1.0
+            assert cov.logdet == pytest.approx(logdet, rel=1e-12)
+            assert "chol" not in repr(cov)
 
 
 class TestSpdFactorStack:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernoff import (
     GraftOp,
@@ -31,7 +33,12 @@ from chernoff.errors import (
     WeightOutOfRange,
     WouldCreateCycle,
 )
-from helpers import dependent_chain, independent_chain_case, random_tree
+from helpers import (
+    dependent_chain,
+    independent_chain_case,
+    path_product_covariance,
+    random_tree,
+)
 
 STAR = TreeSpec(5, ((1, 2, 0.4), (1, 3, 0.5), (1, 4, 0.6), (1, 5, 0.3)))
 
@@ -175,6 +182,41 @@ class TestApplyGraft:
                 assert tree_determinant(tree) == pytest.approx(
                     tree_determinant(chain.base), abs=0
                 )
+
+
+@st.composite
+def graft_cases(draw):
+    """A random labelled tree, one of its edges (i, p) in either direction, and q."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    label = draw(st.permutations(range(1, n + 1)))
+    edges = tuple(
+        (
+            label[draw(st.integers(min_value=0, max_value=v - 1))],
+            label[v],
+            draw(st.floats(min_value=0.1, max_value=0.9)),
+        )
+        for v in range(1, n)
+    )
+    i, p, w = draw(st.sampled_from(edges))
+    if draw(st.booleans()):
+        i, p = p, i
+    q = draw(st.integers(min_value=1, max_value=n))
+    return validate_tree(TreeSpec(n, edges)), i, p, q, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(graft_cases())
+def test_graft_rejected_exactly_when_anchor_is_in_moved_subtree(case):
+    tree, i, p, q, w = case
+    _, hops = path_product_covariance(tree)
+    op = GraftOp(subtree_root=i, old_neighbor=p, new_neighbor=q, weight=w)
+    if q == i or hops[q - 1, p - 1] == hops[q - 1, i - 1] + 1:
+        with pytest.raises(WouldCreateCycle):
+            apply_graft(tree, op)
+    else:
+        moved = apply_graft(tree, op)
+        assert (i, q, w) in moved.edges
+        assert len(moved.edges) == len(tree.edges)
 
 
 class TestIndependence:
