@@ -35,9 +35,10 @@ from .dimred import (
     reduced_pair,
 )
 from .errors import ChernoffError, NumericDomainError, ParseError, ValidationError
+from .gaussian_tree import _json_int, _json_list, _json_object
 from .gaussian_tree import (
     build_covariance,
-    covariance_from_matrix,
+    model_from_json,
     tree_determinant,
     tree_from_json,
     tree_precision,
@@ -102,33 +103,31 @@ def _read_json(path: str):
     try:
         with open(path) as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, encoding or depth
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_model(path: str):
-    """A model file holds either a tree object or a row-major matrix."""
-    obj = _read_json(path)
-    if isinstance(obj, dict):
-        return build_covariance(tree_from_json(obj))
-    return covariance_from_matrix(obj, name=path)
-
-
 def _tolerance(args, fallback: float) -> float:
-    if getattr(args, "tolerance", None) is not None:
-        return args.tolerance
-    if getattr(args, "global_tolerance", None) is not None:
-        return args.global_tolerance
-    return fallback
+    """The per-command --tolerance, else the global one, else ``fallback``."""
+    value = getattr(args, "tolerance", None)
+    if value is None:
+        value = args.global_tolerance
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise ParseError(f"--tolerance must be finite and >= 0, got {value}")
+    return fallback if value is None else value
 
 
 def _default_seed(explicit) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("CHERNOFF_SEED")
-    return int(env) if env else 0
+    """``explicit``, else CHERNOFF_SEED, else 0; a seed is an integer >= 0."""
+    if explicit is None:
+        env = os.environ.get("CHERNOFF_SEED") or "0"
+        try:
+            explicit = int(env)
+        except ValueError as exc:
+            raise ParseError(f"CHERNOFF_SEED must be an integer, got {env!r}") from exc
+    return _json_int(explicit, "seed", 0)
 
 
 def _chernoff_payload(result: ChernoffResult) -> dict:
@@ -179,8 +178,8 @@ def _cmd_ci(args) -> int:
         if not (args.input1 and args.input2):
             raise ParseError("ci needs two inputs or --from-eigenvalues")
         result = chernoff_information(
-            _load_model(args.input1),
-            _load_model(args.input2),
+            model_from_json(_read_json(args.input1), args.input1),
+            model_from_json(_read_json(args.input2), args.input2),
             unit_tol=_tolerance(args, 1e-8),
         )
     payload = _chernoff_payload(result)
@@ -196,10 +195,9 @@ def _cmd_ci(args) -> int:
 
 
 def _pair_from_file(path: str):
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or "trees" not in obj or len(obj["trees"]) != 2:
-        raise ParseError(f"{path} must be an object with a two-element 'trees' list")
-    return tree_from_json(obj["trees"][0]), tree_from_json(obj["trees"][1])
+    obj = _json_object(_read_json(path), path, ("trees",))
+    first, second = _json_list(obj["trees"], f"{path} 'trees'", 2)
+    return tree_from_json(first), tree_from_json(second)
 
 
 def _require(args, *names) -> None:
@@ -282,8 +280,8 @@ def _cmd_chain(args) -> int:
 def _cmd_dimred(args) -> int:
     if args.compare_random < 0:
         raise ParseError(f"--compare-random must be >= 0, got {args.compare_random}")
-    sigma1 = _load_model(args.input1)
-    sigma2 = _load_model(args.input2)
+    sigma1 = model_from_json(_read_json(args.input1), args.input1)
+    sigma2 = model_from_json(_read_json(args.input2), args.input2)
     candidates = candidate_reductions(sigma1, sigma2, args.n_out)
     best = candidates[0]
     payload = {

@@ -89,42 +89,71 @@ class CovarianceMatrix:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; integral floats such as ``2.0`` are accepted."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParseError(f"{what} must be an integer, got {value!r}")
+def _json_int(value, what: str, low: int | None = None) -> int:
+    """A JSON integer, at least ``low`` if given; integral floats such as ``2.0`` pass."""
+    if type(value) is not int:  # a bool is an int subclass, not an int
+        if not (type(value) is float and value.is_integer()):
+            raise ParseError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ParseError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 def _json_float(value, what: str) -> float:
+    """A JSON number that fits a float64; bools and strings are not numbers."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ParseError(f"{what} must be a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float64 range
+            pass
+    raise ParseError(f"{what} must be a float64 number, got {value!r}")
+
+
+def _json_list(value, what: str, size: int | None = None) -> list:
+    if not isinstance(value, list) or (size is not None and len(value) != size):
+        entries = "" if size is None else f" of {size} entries"
+        raise ParseError(f"{what} must be a list{entries}, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str, fields) -> dict:
+    if not (isinstance(value, dict) and all(name in value for name in fields)):
+        raise ParseError(f"{what} must be an object with fields {', '.join(fields)}")
+    return value
 
 
 def tree_from_json(obj) -> TreeSpec:
     """Parse ``{"nodes": N, "edges": [[i, j, w], ...]}`` into a validated TreeSpec."""
-    if not isinstance(obj, dict):
-        raise ParseError("tree JSON must be an object with 'nodes' and 'edges'")
-    try:
-        nodes = obj["nodes"]
-        raw_edges = obj["edges"]
-    except KeyError as exc:
-        raise ParseError(f"tree JSON missing field {exc}") from exc
-    nodes = _json_int(nodes, "'nodes'")
-    if not isinstance(raw_edges, list):
-        raise ParseError("'edges' must be a list of [i, j, w] entries")
+    obj = _json_object(obj, "tree JSON", ("nodes", "edges"))
+    nodes = _json_int(obj["nodes"], "'nodes'")
     edges = []
-    for entry in raw_edges:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(f"edge entry {entry!r} must be [i, j, w]")
-        i, j, w = entry
+    for entry in _json_list(obj["edges"], "'edges'"):
+        i, j, w = _json_list(entry, "edge entry [i, j, w]", 3)
         edges.append(
             (_json_int(i, "node id"), _json_int(j, "node id"), _json_float(w, "edge weight"))
         )
     return validate_tree(TreeSpec(node_count=nodes, edges=tuple(edges)))
+
+
+def model_from_json(obj, name: str) -> CovarianceMatrix:
+    """A model given as a tree object or as a row-major matrix of numbers.
+
+    Entries are checked one by one unless numpy reads the matrix as integer
+    or float, so a bool matrix is rejected but a ``true`` among numbers reads as 1.
+    """
+    if isinstance(obj, dict):
+        return build_covariance(tree_from_json(obj))
+    try:
+        arr = np.asarray(_json_list(obj, f"{name} (a tree object or a row-major matrix)"))
+        if arr.dtype.kind not in "iuf":
+            arr = np.array([
+                [_json_float(x, f"{name} entry") for x in _json_list(row, f"{name} row")]
+                for row in obj
+            ])
+    except ValueError as exc:  # ragged rows
+        raise ParseError(f"{name} is not a row-major matrix: {exc}") from exc
+    return covariance_from_matrix(arr, name=name)
 
 
 def tree_to_json(spec: TreeSpec) -> dict:

@@ -20,11 +20,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .divergence import chernoff_from_spectra
-from .errors import DimensionMismatch, ParseError, ValidationError
-from .gaussian_tree import CovarianceMatrix, as_covariance, tree_from_json
+from .errors import DimensionMismatch, ValidationError
+from .gaussian_tree import CovarianceMatrix, as_covariance, model_from_json
+from .gaussian_tree import _json_float, _json_int, _json_list, _json_object
 from .geneig import generalized_eigenvalues
 
 MIN_ERRORS_FOR_FIT = 10
+BLOCK_VALUES = 4_000_000  # normal draws held at once; one sequence must fit
+MAX_TRIALS = 2**53  # _allocate splits trials in float64, exact up to 2**53
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -71,7 +74,7 @@ def hypothesis_set(models, priors) -> HypothesisSet:
         raise ValidationError(
             f"got {pri.size} priors for {len(covs)} models"
         )
-    if np.any(pri <= 0.0):
+    if not np.all(pri > 0.0):
         raise ValidationError("priors must be strictly positive")
     if abs(float(pri.sum()) - 1.0) > 1e-12:
         raise ValidationError(f"priors sum to {pri.sum()}, expected 1")
@@ -170,6 +173,11 @@ def estimate_error_exponent(
     prior-weighted error rate recorded.  The slope fit uses only lengths
     with at least MIN_ERRORS_FOR_FIT errors, which keeps the relative
     standard error of each point under control.
+
+    Sizes are checked before anything is allocated: ``trials`` may not
+    exceed MAX_TRIALS, nor one sequence of the longest length t hold more
+    than BLOCK_VALUES values (t * N).  Run time grows as
+    trials * sum(t_grid) * N and is left to the caller.
     """
     lengths = [int(t) for t in t_grid]
     if not lengths or any(t < 1 for t in lengths):
@@ -178,15 +186,22 @@ def estimate_error_exponent(
         raise ValidationError("t_grid must be ascending")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be <= 2**53, got {trials}")
+    n = hyps.models[0].dim
+    if lengths[-1] * n > BLOCK_VALUES:
+        raise ValidationError(
+            f"a sequence of length {lengths[-1]} in dimension {n} exceeds "
+            f"{BLOCK_VALUES} values"
+        )
     factors = _model_factors(hyps)
     log_priors = np.log(hyps.priors)
     counts = _allocate(trials, hyps.priors)
-    n = hyps.models[0].dim
     diagnostics = []
 
     error_counts = []
     for t in lengths:
-        chunk = max(1, int(4_000_000 / max(1, t * n)))
+        chunk = BLOCK_VALUES // (t * n)
         errs = 0
         for k in range(len(hyps.models)):
             if counts[k] == 0:
@@ -246,19 +261,14 @@ def simulation_config_from_json(obj) -> tuple[HypothesisSet, list[int], int, int
     Model entries are tree JSON objects or row-major matrices.  The seed is
     optional (the CLI falls back to CHERNOFF_SEED or 0).
     """
-    if not isinstance(obj, dict):
-        raise ParseError("simulation config must be a JSON object")
-    for fieldname in ("models", "priors", "t_grid", "trials"):
-        if fieldname not in obj:
-            raise ParseError(f"simulation config missing '{fieldname}'")
-    models = []
-    for idx, entry in enumerate(obj["models"]):
-        if isinstance(entry, dict):
-            models.append(as_covariance(tree_from_json(entry)))
-        else:
-            models.append(as_covariance(entry, name=f"models[{idx}]"))
-    hyps = hypothesis_set(models, obj["priors"])
-    t_grid = [int(t) for t in obj["t_grid"]]
-    trials = int(obj["trials"])
+    obj = _json_object(obj, "simulation config", ("models", "priors", "t_grid", "trials"))
+    models = [
+        model_from_json(entry, f"models[{idx}]")
+        for idx, entry in enumerate(_json_list(obj["models"], "'models'"))
+    ]
+    priors = [_json_float(p, "prior") for p in _json_list(obj["priors"], "'priors'")]
+    hyps = hypothesis_set(models, priors)
+    t_grid = [_json_int(t, "t_grid entry") for t in _json_list(obj["t_grid"], "'t_grid'")]
+    trials = _json_int(obj["trials"], "'trials'")
     seed = obj.get("seed")
-    return hyps, t_grid, trials, (None if seed is None else int(seed))
+    return hyps, t_grid, trials, (None if seed is None else _json_int(seed, "'seed'", 0))

@@ -25,25 +25,23 @@ configurations, never the reverse), documented on the function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .divergence import ChernoffResult, chernoff_from_spectra, sigma_lambda
+from .divergence import ChernoffResult, chernoff_from_spectra
 from .errors import (
     DeterminantMismatch,
     DimensionMismatch,
     EdgeNotFound,
     EdgeNotShared,
     InvalidNode,
-    ParseError,
     WeightFactorMismatch,
     WeightOutOfRange,
     WouldCreateCycle,
 )
 from .gaussian_tree import TreeSpec, build_covariance, tree_from_json, validate_tree
-from .gaussian_tree import _json_float, _json_int
+from .gaussian_tree import _json_float, _json_int, _json_list, _json_object
 from .geneig import _coerce_pair, generalized_eigenvalues
 
 EDGE_WEIGHT_ATOL = 1e-12
@@ -109,34 +107,23 @@ class OrderingReport:
 
 def graft_op_from_json(obj) -> GraftOp:
     """Parse ``{"subtree_root": i, "old_neighbor": p, "new_neighbor": q, "weight": w}``."""
-    if not isinstance(obj, dict):
-        raise ParseError("graft op JSON must be an object")
-    try:
-        return GraftOp(
-            subtree_root=_json_int(obj["subtree_root"], "subtree_root"),
-            old_neighbor=_json_int(obj["old_neighbor"], "old_neighbor"),
-            new_neighbor=_json_int(obj["new_neighbor"], "new_neighbor"),
-            weight=_json_float(obj["weight"], "weight"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"graft op JSON missing field {exc}") from exc
+    nodes = ("subtree_root", "old_neighbor", "new_neighbor")
+    obj = _json_object(obj, "graft op JSON", nodes + ("weight",))
+    return GraftOp(
+        *(_json_int(obj[name], name) for name in nodes),
+        weight=_json_float(obj["weight"], "weight"),
+    )
 
 
 def graft_op_to_json(op: GraftOp) -> dict:
-    return {
-        "subtree_root": op.subtree_root,
-        "old_neighbor": op.old_neighbor,
-        "new_neighbor": op.new_neighbor,
-        "weight": op.weight,
-    }
+    return asdict(op)
 
 
 def chain_from_json(obj) -> GraftChain:
     """Parse ``{"base": <tree>, "ops": [<graft op>, ...]}`` and build the chain."""
-    if not isinstance(obj, dict) or "base" not in obj:
-        raise ParseError("chain JSON must be an object with 'base' and 'ops'")
+    obj = _json_object(obj, "chain JSON", ("base",))
     base = tree_from_json(obj["base"])
-    ops = tuple(graft_op_from_json(o) for o in obj.get("ops", []))
+    ops = tuple(graft_op_from_json(o) for o in _json_list(obj.get("ops", []), "'ops'"))
     return make_chain(base, ops)
 
 
@@ -359,10 +346,10 @@ def trace_condition(sigma1, sigma2) -> float:
             f"log-determinants differ by {gap:.3e}; "
             "the midpoint characterization needs equal determinants"
         )
-    half = sigma_lambda(c1, c2, 0.5).matrix
-    return float(
-        np.trace(cho_solve((c1.chol, True), half)) - np.trace(cho_solve((c2.chol, True), half))
-    )
+    # In the joint eigenbasis S2 = I and S1 = diag(v), so S_half is
+    # diag(2v / (1 + v)) and the trace is sum 2v/(1+v) (1/v - 1).
+    v = generalized_eigenvalues(c1, c2).values
+    return float(np.sum(2.0 * (1.0 - v) / (1.0 + v)))
 
 
 def chain_pairwise_chernoff(chain: GraftChain) -> dict[tuple[int, int], ChernoffResult]:

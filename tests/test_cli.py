@@ -1,14 +1,20 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chernoff
 from chernoff import (
@@ -41,6 +47,32 @@ def _run(capsys, argv):
     captured = capsys.readouterr()
     result = json.loads(captured.out.strip().splitlines()[-1])
     return code, result, captured.err
+
+
+def _run_capped(argv):
+    """Run the CLI in a subprocess under a 1 GiB address-space cap.
+
+    Under the cap an allocation sized by the input fails fast with
+    MemoryError (exit 4) instead of exhausting the machine.
+    """
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from chernoff.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(chernoff.__file__).resolve().parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 class TestTreeCommand:
@@ -98,27 +130,8 @@ class TestTreeCommand:
         assert result["payload"]["code"] == "parse"
 
     def test_huge_node_count_exits_2_before_allocating(self, tmp_path):
-        # Under a 1 GiB address-space cap an allocation of size N fails fast
-        # with MemoryError (exit 4) instead of exhausting the machine.
         path = _write(tmp_path, "huge.json", {"nodes": 10**9, "edges": []})
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from chernoff.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(chernoff.__file__).resolve().parents[1]),
-            "OPENBLAS_NUM_THREADS": "1",
-        }
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "tree", "det", path],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = _run_capped(["tree", "det", path])
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert json.loads(proc.stdout)["payload"]["code"] == "disconnected"
 
@@ -546,3 +559,198 @@ class TestSimulateCommand:
         code, result, _ = _run(capsys, ["simulate", path])
         assert code == 2
         assert result["payload"]["code"] == "parse"
+
+
+TREE_A = {"nodes": 2, "edges": [[1, 2, 0.5]]}
+TREE_B = {"nodes": 2, "edges": [[1, 2, 0.3]]}
+SPD = [[2.0, 0.5], [0.5, 1.0]]
+BIG = 10**400  # beyond float64; json writes and reads all 400 digits
+
+
+def _sim(**fields):
+    config = {"models": [TREE_A, TREE_B], "priors": [0.5, 0.5], "t_grid": [1, 2], "trials": 20}
+    config.update(fields)
+    return config
+
+
+def _place(tmp_path, argv, files):
+    """argv with each ``{name}`` replaced by the path of file ``name``.
+
+    A file's content is raw bytes, or a value written as JSON.
+    """
+    paths = {}
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        paths[name] = str(path)
+    paths["dir"] = str(tmp_path)
+    return [arg.format(**paths) for arg in argv]
+
+
+SIMULATE = ["simulate", "{cfg}"]
+CI = ["ci", "{a}", "{b}"]
+DIMRED = ["dimred", "{a}", "{b}", "--n-out", "1", "--compare-random", "2"]
+
+# Each case exited 4 or ran with a wrong outcome before every JSON field
+# went through one typed reader.  (argv, files, CHERNOFF_SEED, payload code)
+MALFORMED = [
+    pytest.param(SIMULATE, {"cfg": _sim(trials="x")}, None, "parse", id="trials-string"),
+    pytest.param(SIMULATE, {"cfg": _sim(trials=None)}, None, "parse", id="trials-null"),
+    pytest.param(SIMULATE, {"cfg": _sim(t_grid=5)}, None, "parse", id="t_grid-scalar"),
+    pytest.param(SIMULATE, {"cfg": _sim(models=7)}, None, "parse", id="models-scalar"),
+    pytest.param(SIMULATE, {"cfg": _sim(priors=["a", "b"])}, None, "parse", id="prior-strings"),
+    pytest.param(SIMULATE, {"cfg": _sim(seed=-1)}, None, "parse", id="seed-negative"),
+    pytest.param(
+        SIMULATE, {"cfg": _sim(models=[[[1, "a"], [0, 1]], SPD])}, None, "parse",
+        id="model-string-entry",
+    ),
+    pytest.param(CI, {"a": [[1, "a"], [0, 1]], "b": SPD}, None, "parse", id="ci-string-entry"),
+    pytest.param(CI, {"a": [[1, 0], [0]], "b": SPD}, None, "parse", id="ci-ragged-row"),
+    pytest.param(CI, {"a": "abc", "b": SPD}, None, "parse", id="ci-string-file"),
+    pytest.param(["chain", "{c}"], {"c": {"base": TREE_A, "ops": 5}}, None, "parse",
+                 id="chain-ops-scalar"),
+    pytest.param(
+        ["ops", "adding", "{p}", "--attach-node", "1", "--weight", "0.2"],
+        {"p": {"trees": 5}}, None, "parse", id="adding-trees-scalar",
+    ),
+    pytest.param(DIMRED + ["--seed", "-1"], {"a": SPD, "b": SPD}, None, "parse",
+                 id="dimred-seed-negative"),
+    pytest.param(SIMULATE + ["--seed", "-1"], {"cfg": _sim()}, None, "parse",
+                 id="simulate-seed-flag-negative"),
+    pytest.param(SIMULATE, {"cfg": _sim()}, "abc", "parse", id="env-seed-string"),
+    pytest.param(SIMULATE, {"cfg": _sim()}, "-1", "parse", id="env-seed-negative"),
+    pytest.param(SIMULATE, {"cfg": _sim()}, "1.5", "parse", id="env-seed-fractional"),
+    pytest.param(["tree", "det", "{t}"], {"t": {"nodes": 2, "edges": [[1, 2, BIG]]}}, None,
+                 "parse", id="tree-weight-400-digits"),
+    pytest.param(
+        ["ops", "graft", "{t}", "--op", "{op}"],
+        {
+            "t": {"nodes": 3, "edges": [[1, 2, 0.5], [2, 3, 0.6]]},
+            "op": {"subtree_root": 3, "old_neighbor": 2, "new_neighbor": 1, "weight": BIG},
+        },
+        None, "parse", id="graft-weight-400-digits",
+    ),
+    pytest.param(SIMULATE, {"cfg": _sim(priors=[BIG, 0.5])}, None, "parse",
+                 id="prior-400-digits"),
+    pytest.param(CI, {"a": [[BIG, 0], [0, 1]], "b": SPD}, None, "parse",
+                 id="matrix-entry-400-digits"),
+    # wrong outcomes without an error
+    pytest.param(SIMULATE, {"cfg": _sim(t_grid=[1.5, 2])}, None, "parse", id="t_grid-fractional"),
+    pytest.param(SIMULATE, {"cfg": _sim(trials=2.7)}, None, "parse", id="trials-fractional"),
+    pytest.param(SIMULATE, {"cfg": _sim(seed="7")}, None, "parse", id="seed-string"),
+    pytest.param(SIMULATE, {"cfg": _sim(seed=1.5)}, None, "parse", id="seed-fractional"),
+    pytest.param(SIMULATE, {"cfg": _sim(t_grid=["1", "2"])}, None, "parse", id="t_grid-strings"),
+    pytest.param(CI, {"a": [[True, False], [False, True]], "b": SPD}, None, "parse",
+                 id="ci-bool-matrix"),
+    pytest.param(CI, {"a": None, "b": SPD}, None, "parse", id="ci-null-matrix"),
+    # unreadable files
+    pytest.param(CI, {"a": b"\xff\xfe[[1]]", "b": SPD}, None, "parse", id="ci-not-utf8"),
+    pytest.param(CI, {"a": b"1" * 5000, "b": SPD}, None, "parse", id="ci-5000-digits"),
+    pytest.param(CI, {"a": b"[" * 100_000 + b"]" * 100_000, "b": SPD}, None, "parse",
+                 id="ci-deep-nesting"),
+    pytest.param(["ci", "{dir}", "{b}"], {"b": SPD}, None, "parse", id="ci-directory"),
+    # out-of-range options and sizes
+    pytest.param(["ci", "--from-eigenvalues", "2", "--tolerance", "nan"], {}, None, "parse",
+                 id="tolerance-nan"),
+    pytest.param(["--tolerance", "-1", "ci", "--from-eigenvalues", "2"], {}, None, "parse",
+                 id="global-tolerance-negative"),
+    pytest.param(["chain", "{c}", "--verify-ordering", "--tolerance", "inf"],
+                 {"c": {"base": TREE_A, "ops": []}}, None, "parse", id="chain-tolerance-inf"),
+    pytest.param(SIMULATE, {"cfg": _sim(trials=10**30)}, None, "validation",
+                 id="trials-beyond-2**53"),
+    pytest.param(SIMULATE, {"cfg": _sim(priors="ab")}, None, "parse", id="priors-scalar"),
+    pytest.param(SIMULATE, {"cfg": _sim(priors=[math.nan, math.nan])}, None, "validation",
+                 id="priors-nan"),
+]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("argv, files, env_seed, code", MALFORMED)
+    def test_malformed_input_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv, files, env_seed, code
+    ):
+        if env_seed is None:
+            monkeypatch.delenv("CHERNOFF_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CHERNOFF_SEED", env_seed)
+        exit_code, result, _ = _run(capsys, _place(tmp_path, argv, files))
+        assert (exit_code, result["payload"]["code"]) == (2, code), result
+
+    def test_long_sequence_exits_2_before_allocating(self, tmp_path):
+        three = {"nodes": 3, "edges": [[1, 2, 0.5], [2, 3, 0.6]]}
+        cfg = _sim(models=[three, three], t_grid=[10**8], seed=1)
+        proc = _run_capped(_place(tmp_path, SIMULATE, {"cfg": cfg}))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["payload"]["code"] == "validation"
+
+    @pytest.mark.parametrize(
+        "written, read",
+        [
+            ({"nodes": 2, "edges": [[1, 2.0, 0.5]]}, TREE_A),
+            ([[10**30, 0], [0, 1]], [[1e30, 0.0], [0.0, 1.0]]),
+            # pinned: numpy coerces a bool among numbers, so true reads as 1
+            ([[2, True], [True, 2]], [[2.0, 1.0], [1.0, 2.0]]),
+        ],
+        ids=["integral-float-node-id", "int-beyond-int64", "bool-among-numbers"],
+    )
+    def test_accepted_input_reads_as_its_value(self, tmp_path, capsys, written, read):
+        outputs = []
+        for content in (written, read):
+            exit_code, result, _ = _run(capsys, _place(tmp_path, CI, {"a": content, "b": SPD}))
+            assert exit_code == 0, result
+            outputs.append(result)
+        assert outputs[0] == outputs[1]
+
+    def test_seed_beyond_int64_runs(self, tmp_path, capsys):
+        exit_code, result, _ = _run(capsys, _place(tmp_path, SIMULATE, {"cfg": _sim(seed=10**30)}))
+        assert exit_code == 0, result
+        assert result["payload"]["trials"] == 20
+
+
+FIELD_NAMES = (
+    "nodes", "edges", "trees", "base", "ops", "subtree_root", "old_neighbor",
+    "new_neighbor", "weight", "models", "priors", "t_grid", "trials", "seed",
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 6),
+        st.sampled_from([10**30, BIG]),
+        st.floats(-1e6, 1e6),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES), inner, max_size=5),
+    max_leaves=16,
+)
+# Every subcommand, with each file argument a placeholder.
+FUZZ_COMMANDS = (
+    ["tree", "build", "{x}"],
+    ["tree", "invert", "{x}"],
+    ["tree", "det", "{x}"],
+    ["ci", "{x}", "{y}"],
+    ["ops", "adding", "{x}", "--attach-node", "1", "--weight", "0.2"],
+    ["ops", "division", "{x}", "--edge", "1,2", "--w1", "0.5", "--w2", "0.5"],
+    ["ops", "graft", "{x}", "--op", "{y}"],
+    ["chain", "{x}", "--verify-ordering"],
+    ["dimred", "{x}", "{y}", "--n-out", "1", "--compare-pca", "--compare-random", "2"],
+    ["simulate", "{x}"],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES, JSON_VALUES)
+def test_arbitrary_json_never_exits_4(x, y):
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(_place(Path(tmp), argv, {"x": x, "y": y}))
+            result = json.loads(out.getvalue().splitlines()[-1])
+            assert code in (0, 2, 3), (argv, result)
+            assert set(result) == {"status", "payload", "diagnostics"}

@@ -18,6 +18,7 @@ from chernoff import (
     generalized_eigenvalues,
     is_independent_chain,
     make_chain,
+    sigma_lambda,
     trace_condition,
     tree_determinant,
     validate_tree,
@@ -303,6 +304,26 @@ class TestTraceCondition:
     def test_determinant_mismatch(self):
         with pytest.raises(DeterminantMismatch):
             trace_condition(np.eye(2), 2.0 * np.eye(2))
+
+    def test_spectral_sum_matches_dense_formula(self):
+        def dense(c1, c2):
+            half = sigma_lambda(c1, c2, 0.5).matrix
+            return np.trace(np.linalg.solve(c1.matrix, half)) - np.trace(
+                np.linalg.solve(c2.matrix, half)
+            )
+
+        rng = np.random.default_rng(11)
+        chains = [independent_chain_case(rng)[0] for _ in range(6)] + [dependent_chain()]
+        checked = 0
+        for chain in chains:
+            covs = [build_covariance(t) for t in chain.trees]
+            for a in range(len(covs)):
+                for b in range(a + 1, len(covs)):
+                    assert trace_condition(covs[a], covs[b]) == pytest.approx(
+                        dense(covs[a], covs[b]), abs=1e-12
+                    )
+                    checked += 1
+        assert checked > 20
 
 
 class TestChainCiMatrix:
