@@ -13,7 +13,7 @@ errors, 4 internal errors.  CHERNOFF_SEED supplies a default seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import math
 import os
@@ -85,8 +85,6 @@ def _round_floats(value):
         return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_floats(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _round_floats(dataclasses.asdict(value))
     return value
 
 
@@ -242,14 +240,6 @@ def _cmd_chain(args) -> int:
         },
     }
     diagnostics = []
-    if args.check_independence or args.verify_ordering:
-        report = is_independent_chain(chain)
-        payload["independent"] = report.independent
-        payload["independence"] = {
-            "center": list(report.center) if report.center else None,
-            "conflicts": [list(c) for c in report.conflicts],
-            "notes": list(report.notes),
-        }
     if args.verify_ordering:
         ordering = verify_partial_ordering(
             chain, slack=_tolerance(args, 1e-9), pairwise=pairwise
@@ -269,6 +259,14 @@ def _cmd_chain(args) -> int:
             ],
         }
         diagnostics.append(f"ordering status: {ordering.status}")
+    if args.check_independence or args.verify_ordering:
+        report = ordering.independent if args.verify_ordering else is_independent_chain(chain)
+        payload["independent"] = report.independent
+        payload["independence"] = {
+            "center": list(report.center) if report.center else None,
+            "conflicts": [list(c) for c in report.conflicts],
+            "notes": list(report.notes),
+        }
     lines = ["pair        CI            lambda*"]
     for (a, b), res in sorted(pairwise.items()):
         lines.append(f"T{a + 1}-T{b + 1}      {res.ci:<12.6g}  {res.lambda_star:.6g}")
@@ -318,9 +316,17 @@ def _cmd_dimred(args) -> int:
 
 def _cmd_simulate(args) -> int:
     hyps, t_grid, trials, seed = simulation_config_from_json(_read_json(args.config))
-    estimate = estimate_error_exponent(
-        hyps, t_grid, trials, _default_seed(args.seed if args.seed is not None else seed)
-    )
+    seed = _default_seed(args.seed if args.seed is not None else seed)
+    try:  # an unwritable path fails before the simulation runs
+        csv = open(args.csv, "w") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.csv}: {exc}") from exc
+    with csv as handle:
+        estimate = estimate_error_exponent(hyps, t_grid, trials, seed)
+        if handle is not None:
+            rows = zip(estimate.sample_lengths, estimate.error_rates, estimate.error_counts)
+            handle.write("t,error_rate,error_count\n")
+            handle.writelines(f"{t},{rate:.12g},{count}\n" for t, rate, count in rows)
     payload = {
         "t_grid": estimate.sample_lengths,
         "error_rates": estimate.error_rates,
@@ -340,13 +346,6 @@ def _cmd_simulate(args) -> int:
         f"vs predicted {estimate.predicted:.6g}"
     )
     print("\n".join(lines), file=sys.stderr)
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write("t,error_rate,error_count\n")
-            for t, rate, count in zip(
-                estimate.sample_lengths, estimate.error_rates, estimate.error_counts
-            ):
-                handle.write(f"{t},{rate:.12g},{count}\n")
     _emit(payload, estimate.diagnostics)
     return EXIT_OK
 

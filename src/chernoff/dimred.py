@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import ChernoffResult, chernoff_from_spectra, solve_lambda_star
-from .errors import InvalidBudget, RankDeficientProjection
+from .errors import InvalidBudget, NotPositiveDefinite, RankDeficientProjection
 from .gaussian_tree import (
     CovarianceMatrix,
     as_covariance,
@@ -112,7 +112,7 @@ def _reduced_stack(a: np.ndarray, sigma1, sigma2) -> tuple[np.ndarray, np.ndarra
     if np.any(svals[:, -1] <= 1e-12 * svals[:, 0]):
         raise RankDeficientProjection("projection rows are not linearly independent")
     a_t = a.transpose(0, 2, 1)
-    # an overflowing product is left non-finite for spd_factor to reject
+    # an overflowing product is left non-finite for the caller to reject
     with np.errstate(over="ignore", invalid="ignore"):
         r1, r2 = a @ s1 @ a_t, a @ s2 @ a_t
         return 0.5 * (r1 + r1.transpose(0, 2, 1)), 0.5 * (r2 + r2.transpose(0, 2, 1))
@@ -134,14 +134,16 @@ def projected_chernoff(projections, sigma1, sigma2) -> np.ndarray:
     """Reduced-pair Chernoff information for each A in an (R, N_O, N) stack.
 
     Entry r is ``chernoff_information(*reduced_pair(A[r], sigma1,
-    sigma2)).ci`` up to rounding, with the same checks, computed with
-    batched factorizations and one call of the lambda* solver.
+    sigma2)).ci`` up to rounding, from one batched factorization and one
+    call of the lambda* solver; an indefinite reduced S1 fails the positivity
+    check of the generalized eigenvalues.
     """
     a = np.asarray(projections, dtype=float)
     if a.ndim != 3:
         raise RankDeficientProjection(f"projections must be 3-d, got shape {a.shape}")
     r1, r2 = _reduced_stack(a, sigma1, sigma2)
-    spd_factor(r1, name="reduced sigma1")
+    if not np.all(np.isfinite(r1)):  # r1 is exactly symmetric; only overflow is left
+        raise NotPositiveDefinite("reduced sigma1 contains non-finite entries")
     _, chol2 = spd_factor(r2, name="reduced sigma2")
     return solve_lambda_star(whitened_eigenvalues(chol2, r1)).ci
 

@@ -31,7 +31,8 @@ bisection alone would take over 40.  The Chernoff value is evaluated as
     CI = 0.5 sum_i ln(t* sqrt(v_i) + (1-t*)/sqrt(v_i)) + 0.5 (1/2 - t*) ln(beta)
 
 with beta = prod v_i.  At the balance point the identity
-sum_i 1/u_i = N - t* ln(beta) holds exactly and serves as a residual check.
+sum_i 1/u_i = N - t* ln(beta) holds exactly, as h(t*) = 0 rearranged; the
+solver never evaluates it, and the residual it reports is |h(t*)|.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def lambda_star(spectrum: EigenSpectrum, unit_tol: float = UNIT_EIGENVALUE_TOL) 
 def balance_equation_residual(spectrum: EigenSpectrum, lam: float) -> float:
     """Residual of sum_i 1/u_i = N - t ln(beta) at t = lam.
 
-    Zero exactly at the balance point; used as the solver's acceptance
-    check.
+    It equals 2 lam h(lam), so it is zero exactly at the balance point.
+    The solver never evaluates it; ``ChernoffResult.residual`` is |h(t*)|.
     """
     v = spectrum.values
     u = (1.0 - lam) + lam * v

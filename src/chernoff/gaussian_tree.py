@@ -166,9 +166,10 @@ def validate_tree(spec: TreeSpec) -> TreeSpec:
     Raises CycleError, DisconnectedError, WeightOutOfRange or DuplicateEdge.
     The edge count and node ranges are checked before anything of size N is
     allocated.  A zero weight is legal but triggers ZeroWeightWarning since
-    it severs the dependence between the two sides of the edge.  The BFS
-    from node 1 that decides connectivity is kept on the spec, so a spec
-    that passed once is neither traversed nor warned about again.
+    it severs the dependence between the two sides of the edge; only a spec
+    that passes every check warns.  The BFS from node 1 that decides
+    connectivity is kept on the spec, so a spec that passed once is neither
+    traversed nor warned about again.
     """
     if spec._rooted is not None:
         return spec
@@ -180,6 +181,7 @@ def validate_tree(spec: TreeSpec) -> TreeSpec:
     if len(spec.edges) < n - 1:
         raise DisconnectedError(f"{len(spec.edges)} edges cannot connect {n} nodes")
     seen = set()
+    zero = []
     for i, j, w in spec.edges:
         if not (1 <= i <= n and 1 <= j <= n):
             raise DisconnectedError(f"edge ({i},{j}) references a node outside 1..{n}")
@@ -192,14 +194,17 @@ def validate_tree(spec: TreeSpec) -> TreeSpec:
         if not abs(w) < 1.0:
             raise WeightOutOfRange(f"edge {key} weight {w} must satisfy |w| < 1")
         if w == 0.0:
-            warnings.warn(
-                f"edge {key} has weight 0; it carries no dependence",
-                ZeroWeightWarning,
-                stacklevel=2,
-            )
+            zero.append(key)
 
     # N-1 distinct edges: connected iff acyclic; a BFS from node 1 decides.
-    object.__setattr__(spec, "_rooted", _bfs(n, spec.edges))
+    rooted = _bfs(n, spec.edges)
+    for key in zero:
+        warnings.warn(
+            f"edge {key} has weight 0; it carries no dependence",
+            ZeroWeightWarning,
+            stacklevel=2,
+        )
+    object.__setattr__(spec, "_rooted", rooted)
     return spec
 
 
@@ -292,7 +297,10 @@ def spd_factor(arr: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.nd
     scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
     if np.any(np.abs(arr - arr_t).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
         raise NotPositiveDefinite(f"{name} is not symmetric")
-    sym = 0.5 * (arr + arr_t)
+    if np.all(scale <= 0.5 * np.finfo(float).max):
+        sym = 0.5 * (arr + arr_t)
+    else:  # the sum could overflow; halving first cannot, but it rounds subnormals
+        sym = 0.5 * arr + 0.5 * arr_t
     try:
         return sym, np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:

@@ -33,6 +33,8 @@ from .divergence import ChernoffResult, chernoff_from_spectra
 from .errors import (
     DeterminantMismatch,
     DimensionMismatch,
+    DisconnectedError,
+    DuplicateEdge,
     EdgeNotFound,
     EdgeNotShared,
     InvalidNode,
@@ -95,7 +97,7 @@ class NestedCheck:
 
 @dataclass(frozen=True)
 class OrderingReport:
-    independent: bool
+    independent: IndependenceReport  # true exactly when the chain is independent
     checks: tuple[NestedCheck, ...]
     violations: tuple[NestedCheck, ...]
     min_pair: tuple[int, int]
@@ -131,32 +133,21 @@ def adding_operation(
     pair: tuple[TreeSpec, TreeSpec], attach_node: int, weight: float
 ) -> tuple[TreeSpec, TreeSpec]:
     """Attach leaf N+1 to ``attach_node`` with ``weight`` in both trees."""
-    t1, t2 = (validate_tree(t) for t in pair)
-    if t1.node_count != t2.node_count:
-        raise DimensionMismatch(
-            f"trees have {t1.node_count} and {t2.node_count} nodes"
-        )
+    t1, t2 = _same_size(pair)
     n = t1.node_count
     if not 1 <= attach_node <= n:
         raise InvalidNode(f"attach node {attach_node} outside 1..{n}")
     if not abs(weight) < 1.0:
         raise WeightOutOfRange(f"leaf weight {weight} must satisfy |w| < 1")
     new_edge = (attach_node, n + 1, weight)
-    return (
-        validate_tree(TreeSpec(n + 1, t1.edges + (new_edge,))),
-        validate_tree(TreeSpec(n + 1, t2.edges + (new_edge,))),
-    )
+    return tuple(validate_tree(TreeSpec(n + 1, t.edges + (new_edge,))) for t in (t1, t2))
 
 
 def division_operation(
     pair: tuple[TreeSpec, TreeSpec], edge: tuple[int, int], w1: float, w2: float
 ) -> tuple[TreeSpec, TreeSpec]:
     """Split a shared edge (p,q) of weight w1*w2 through a new node N+1."""
-    t1, t2 = (validate_tree(t) for t in pair)
-    if t1.node_count != t2.node_count:
-        raise DimensionMismatch(
-            f"trees have {t1.node_count} and {t2.node_count} nodes"
-        )
+    t1, t2 = _same_size(pair)
     p, q = edge
     key = (min(p, q), max(p, q))
     weights1, weights2 = t1.edge_weights(), t2.edge_weights()
@@ -174,48 +165,46 @@ def division_operation(
             f"w1*w2 = {w1 * w2} does not reproduce the shared weight {w_shared}"
         )
     n = t1.node_count
-
-    def split(tree: TreeSpec) -> TreeSpec:
-        kept = tuple(e for e in tree.edges if (min(e[0], e[1]), max(e[0], e[1])) != key)
-        new_edges = kept + ((p, n + 1, w1), (n + 1, q, w2))
-        return validate_tree(TreeSpec(n + 1, new_edges))
-
-    return split(t1), split(t2)
+    path = ((p, n + 1, w1), (n + 1, q, w2))
+    return tuple(validate_tree(TreeSpec(n + 1, _without_edge(t, key) + path)) for t in (t1, t2))
 
 
-def _components(nodes, edges) -> list[set[int]]:
-    """Connected components of the subgraph of ``edges`` induced on ``nodes``.
+def _same_size(pair) -> tuple[TreeSpec, TreeSpec]:
+    """Both trees of ``pair``, validated, once their node counts agree."""
+    t1, t2 = (validate_tree(t) for t in pair)
+    if t1.node_count != t2.node_count:
+        raise DimensionMismatch(f"trees have {t1.node_count} and {t2.node_count} nodes")
+    return t1, t2
 
-    Edges with an end outside ``nodes`` are ignored.  Components are listed
-    in the order of their smallest node.
+
+def _without_edge(tree: TreeSpec, key) -> tuple[tuple[int, int, float], ...]:
+    """``tree``'s edges, in order, less the edge whose sorted node pair is ``key``."""
+    return tuple(e for e in tree.edges if (min(e[0], e[1]), max(e[0], e[1])) != key)
+
+
+def _components(tree: TreeSpec, keep) -> list[set[int]]:
+    """Connected components of ``tree`` induced on the node ids in ``keep``.
+
+    One pass over the BFS order that ``validate_tree`` keeps: a kept node
+    joins its parent's component if the parent is kept, else starts one.
+    Components are listed in the order of their smallest node.
     """
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for i, j, _ in edges:
-        if i in adj and j in adj:
-            adj[i].append(j)
-            adj[j].append(i)
-    components: list[set[int]] = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        components.append(comp)
-    return components
+    order, parent, _ = validate_tree(tree)._rooted
+    head = [-1] * len(order)  # BFS position heading each kept node's component
+    components: dict[int, set[int]] = {}
+    for k, v in enumerate(order):
+        if v + 1 in keep:
+            up = parent[k]
+            head[k] = head[up] if up >= 0 and head[up] >= 0 else k
+            components.setdefault(head[k], set()).add(v + 1)
+    return sorted(components.values(), key=min)
 
 
 def apply_graft(tree: TreeSpec, op: GraftOp) -> TreeSpec:
     """Remove edge (subtree_root, old_neighbor), add (subtree_root, new_neighbor).
 
-    The new anchor must lie outside the detached subtree, otherwise the
-    result would be cyclic and disconnected.
+    The new anchor must lie outside the detached subtree, or ``validate_tree``
+    finds the result cyclic and disconnected (a repeated edge or cut-off nodes).
     """
     tree = validate_tree(tree)
     i, p, q, w = op.subtree_root, op.old_neighbor, op.new_neighbor, op.weight
@@ -233,11 +222,10 @@ def apply_graft(tree: TreeSpec, op: GraftOp) -> TreeSpec:
         )
     if q == i:
         raise WouldCreateCycle(f"new anchor {q} is the moved subtree's root")
-    kept = tuple(e for e in tree.edges if (min(e[0], e[1]), max(e[0], e[1])) != key)
-    anchored = next(c for c in _components(range(1, n + 1), kept) if p in c)
-    if q not in anchored:
-        raise WouldCreateCycle(f"new anchor {q} lies inside the moved subtree")
-    return validate_tree(TreeSpec(n, kept + ((i, q, w),)))
+    try:
+        return validate_tree(TreeSpec(n, _without_edge(tree, key) + ((i, q, w),)))
+    except (DuplicateEdge, DisconnectedError) as exc:
+        raise WouldCreateCycle(f"new anchor {q} lies inside the moved subtree") from exc
 
 
 def make_chain(base: TreeSpec, ops) -> GraftChain:
@@ -296,10 +284,8 @@ def is_independent_chain(chain: GraftChain) -> IndependenceReport:
 
     base = chain.base
     nodes = set(range(1, base.node_count + 1))
-    anchors = {op.old_neighbor for op in chain.ops} | {
-        op.new_neighbor for op in chain.ops
-    }
-    candidates = _components(nodes - anchors, base.edges)
+    anchors = {v for op in chain.ops for v in (op.old_neighbor, op.new_neighbor)}
+    candidates = _components(base, nodes - anchors)
 
     best_pairs: tuple[tuple[int, int], ...] = tuple(
         (k, l) for k in range(n_ops) for l in range(k + 1, n_ops)
@@ -307,7 +293,7 @@ def is_independent_chain(chain: GraftChain) -> IndependenceReport:
     for center in candidates:
         co_resident: set[tuple[int, int]] = set()
         ok = True
-        for comp in _components(nodes - center, base.edges):
+        for comp in _components(base, nodes - center):
             touching = [k for k in range(n_ops) if modified[k] & comp]
             if len(touching) > 1:
                 ok = False
@@ -381,9 +367,10 @@ def verify_partial_ordering(
     """Check CI(T_i||T_j) <= CI(T_p||T_q) on all nested index pairs.
 
     The inequality is a theorem only for independent chains, so the report
-    is marked observational when the independence test fails.  The global
-    minimum over all pairs is also checked to be attained (within slack)
-    by an adjacent pair.
+    is marked observational when the independence test fails; that test's
+    ``IndependenceReport`` is kept as the report's ``independent`` field.
+    The global minimum over all pairs is also checked to be attained
+    (within slack) by an adjacent pair.
     """
     if pairwise is None:
         pairwise = chain_pairwise_chernoff(chain)
@@ -416,7 +403,7 @@ def verify_partial_ordering(
     else:
         min_pair = (0, 0)
         min_adjacent = True
-    independent = bool(is_independent_chain(chain))
+    independent = is_independent_chain(chain)
     all_hold = not violations and min_adjacent
     if independent:
         status = "pass" if all_hold else "fail"

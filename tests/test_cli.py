@@ -30,6 +30,7 @@ from chernoff import (
     tree_ops,
     tree_to_json,
 )
+from chernoff import cli
 from chernoff.cli import main
 from helpers import DEPENDENT_BASE, DEPENDENT_OPS, independent_chain_case, random_tree
 
@@ -400,6 +401,25 @@ class TestChainCommand:
         assert payload["ordering"]["status"] == "observational"
         assert payload["ordering"]["violations"]
 
+    def test_independence_is_tested_once(self, tmp_path, capsys, monkeypatch):
+        chain, _ = independent_chain_case(np.random.default_rng(3), n_ops=2)
+        path = self._chain_file(tmp_path, chain)
+        calls = []
+        test = tree_ops.is_independent_chain
+
+        def spy(chain):
+            calls.append(chain)
+            return test(chain)
+
+        for module in (tree_ops, cli):
+            monkeypatch.setattr(module, "is_independent_chain", spy)
+        code, result, _ = _run(
+            capsys, ["chain", path, "--verify-ordering", "--check-independence"]
+        )
+        assert code == 0
+        assert result["payload"]["independent"] is True
+        assert len(calls) == 1
+
     def test_empty_ops_chain(self, tmp_path, capsys):
         path = _write(tmp_path, "chain.json", {"base": CHAIN_TREE, "ops": []})
         code, result, _ = _run(capsys, ["chain", path, "--verify-ordering"])
@@ -554,6 +574,13 @@ class TestSimulateCommand:
         assert result["payload"]["fitted_exponent"] == "inf"
         assert any("all_errors_zero" in d for d in result["diagnostics"])
 
+    def test_unwritable_csv_exits_2_before_simulating(self, tmp_path, capsys):
+        path = self._config(tmp_path, [[[9.0]], [[1.0]]])
+        csv_path = tmp_path / "missing" / "rates.csv"
+        code, result, err = _run(capsys, ["simulate", path, "--csv", str(csv_path)])
+        assert (code, result["payload"]["code"]) == (2, "parse")
+        assert err == ""  # no table: the simulation never ran
+
     def test_missing_field_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, "config.json", {"models": [[[1.0]], [[2.0]]]})
         code, result, _ = _run(capsys, ["simulate", path])
@@ -703,6 +730,14 @@ class TestExitCodeContract:
             assert exit_code == 0, result
             outputs.append(result)
         assert outputs[0] == outputs[1]
+
+    def test_entries_near_float64_max_run(self, tmp_path, capsys):
+        # symmetrizing by (A + Aᵀ) / 2 overflowed here and exited 4
+        big = [[1.7e308, 0.0], [0.0, 1.7e308]]
+        exit_code, result, _ = _run(capsys, _place(tmp_path, CI, {"a": big, "b": big}))
+        assert exit_code == 0, result
+        assert result["payload"]["ci"] == 0.0
+        assert result["payload"]["degenerate"] is True
 
     def test_seed_beyond_int64_runs(self, tmp_path, capsys):
         exit_code, result, _ = _run(capsys, _place(tmp_path, SIMULATE, {"cfg": _sim(seed=10**30)}))

@@ -12,6 +12,7 @@ from chernoff import (
     candidate_reductions,
     chernoff_from_spectrum,
     chernoff_information,
+    covariance_from_matrix,
     generalized_eigenvalues,
     optimal_reduction,
     pca_baseline,
@@ -284,6 +285,25 @@ class TestBatchedProjections:
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite, match="non-finite"):
                 projected_chernoff(stack, s1, s2)
+
+    def test_overflow_in_reduced_sigma1_alone_rejected(self):
+        # A S2 Aᵀ stays finite, so only the reduced S1 stack can catch this
+        stack = 1e5 * np.random.default_rng(37).standard_normal((3, 2, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NotPositiveDefinite, match="reduced sigma1 contains non-finite entries"
+            ):
+                projected_chernoff(stack, 1e300 * np.eye(4), np.eye(4))
+
+    def test_one_stacked_factorization_per_block(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        s1, s2 = (covariance_from_matrix(random_spd(rng, 5)) for _ in range(2))
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        projected_chernoff(rng.standard_normal((6, 2, 5)), s1, s2)
+        assert len(calls) == 1
 
 
 class TestPcaBaseline:

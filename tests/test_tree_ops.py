@@ -1,5 +1,7 @@
 """Adding, division, grafting, chain independence, and the partial ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from chernoff import (
     GraftOp,
     TreeSpec,
+    ZeroWeightWarning,
     adding_operation,
     apply_graft,
     build_covariance,
@@ -34,6 +37,7 @@ from chernoff.errors import (
     WeightOutOfRange,
     WouldCreateCycle,
 )
+from chernoff.tree_ops import _components
 from helpers import (
     dependent_chain,
     independent_chain_case,
@@ -218,6 +222,68 @@ def test_graft_rejected_exactly_when_anchor_is_in_moved_subtree(case):
         moved = apply_graft(tree, op)
         assert (i, q, w) in moved.edges
         assert len(moved.edges) == len(tree.edges)
+
+
+class TestRejectedGraftIsSilent:
+    # edge (2, 3) has weight 0, so validating a tree that holds it warns
+    EDGES = ((1, 2, 0.5), (2, 3, 0.0), (3, 4, 0.4))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            GraftOp(subtree_root=2, old_neighbor=1, new_neighbor=3, weight=0.5),
+            GraftOp(subtree_root=2, old_neighbor=1, new_neighbor=4, weight=0.5),
+        ],
+        ids=["anchor-adjacent-to-root", "anchor-deeper-in-subtree"],
+    )
+    def test_no_warning(self, op):
+        with pytest.warns(ZeroWeightWarning):
+            tree = validate_tree(TreeSpec(4, self.EDGES))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(
+                WouldCreateCycle, match=f"new anchor {op.new_neighbor} lies inside"
+            ):
+                apply_graft(tree, op)
+        assert caught == []
+
+
+@st.composite
+def trees_and_keep_sets(draw):
+    """A random labelled tree and a set of its nodes, empty and full included."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    label = draw(st.permutations(range(1, n + 1)))
+    edges = tuple(
+        (label[draw(st.integers(min_value=0, max_value=v - 1))], label[v], 0.5)
+        for v in range(1, n)
+    )
+    nodes = range(1, n + 1)
+    keep = draw(st.one_of(st.just(set()), st.just(set(nodes)), st.sets(st.sampled_from(nodes))))
+    return validate_tree(TreeSpec(n, edges)), keep
+
+
+def _union_find_components(tree, keep):
+    parent = {v: v for v in keep}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j, _ in tree.edges:
+        if i in keep and j in keep:
+            parent[find(i)] = find(j)
+    groups = {}
+    for v in sorted(keep):
+        groups.setdefault(find(v), set()).add(v)
+    return sorted(groups.values(), key=min)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees_and_keep_sets())
+def test_components_match_union_find(case):
+    tree, keep = case
+    assert _components(tree, keep) == _union_find_components(tree, keep)
 
 
 class TestIndependence:
