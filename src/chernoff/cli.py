@@ -28,11 +28,10 @@ from .divergence import (
     chernoff_information,
 )
 from .dimred import (
-    UNIT_CLASSIFICATION_TOL,
     best_random_projection_ci,
     candidate_reductions,
     pca_baseline,
-    reduced_pair,
+    projected_chernoff,
 )
 from .errors import ChernoffError, NumericDomainError, ParseError, ValidationError
 from .gaussian_tree import _json_int, _json_list, _json_object
@@ -284,7 +283,7 @@ def _cmd_dimred(args) -> int:
     best = candidates[0]
     payload = {
         "n_out": args.n_out,
-        "m": int(np.sum(best.pair_spectrum.values > 1.0 + UNIT_CLASSIFICATION_TOL)),
+        "m": best.m,
         "candidates": [
             {
                 "k": c.k,
@@ -301,8 +300,7 @@ def _cmd_dimred(args) -> int:
     diagnostics = []
     if args.compare_pca:
         baseline = pca_baseline(sigma1, args.n_out)
-        r1, r2 = reduced_pair(baseline, sigma1, sigma2)
-        payload["pca_ci"] = chernoff_information(r1, r2).ci
+        payload["pca_ci"] = projected_chernoff(baseline[None], sigma1, sigma2)[0]
         diagnostics.append("pca comparison uses the first input's eigenvectors")
     if args.compare_random:
         rng = np.random.default_rng(_default_seed(args.seed))

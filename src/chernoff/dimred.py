@@ -29,7 +29,6 @@ from .gaussian_tree import (
     spd_factor,
 )
 from .geneig import (
-    EigenSpectrum,
     simultaneous_diagonalizer,
     spectrum_from_values,
     whitened_eigenvalues,
@@ -47,16 +46,16 @@ class ReductionCandidate:
 
     ``row_indices`` index the ascending spectrum (and the rows of the
     diagonalizer); ``matrix`` is the N_O x N projection built from those
-    rows; ``ci`` is the Chernoff result of the reduced pair.
-    ``pair_spectrum`` is the generalized spectrum of the full pair, shared
-    by every candidate of one call.
+    rows; ``ci`` is the Chernoff result of the reduced pair.  ``m`` is the
+    number of eigenvalues of the full pair greater than one, which fixes
+    the admissible range of k; every candidate of one call shares it.
     """
 
     k: int
     row_indices: tuple[int, ...]
     matrix: np.ndarray
     ci: ChernoffResult
-    pair_spectrum: EigenSpectrum
+    m: int
 
 
 def candidate_reductions(sigma1, sigma2, n_out: int) -> list[ReductionCandidate]:
@@ -81,11 +80,7 @@ def candidate_reductions(sigma1, sigma2, n_out: int) -> list[ReductionCandidate]
     for k, rows, ci in zip(ks, selections, results):
         matrix = diag.matrix[list(rows), :]
         matrix.setflags(write=False)
-        candidates.append(
-            ReductionCandidate(
-                k=k, row_indices=rows, matrix=matrix, ci=ci, pair_spectrum=diag.spectrum
-            )
-        )
+        candidates.append(ReductionCandidate(k=k, row_indices=rows, matrix=matrix, ci=ci, m=m))
     candidates.sort(key=lambda c: (-c.ci.ci, c.k))
     return candidates
 

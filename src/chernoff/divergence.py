@@ -41,14 +41,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     NumericDomainError,
 )
-from .gaussian_tree import CovarianceMatrix, covariance_from_matrix
+from .gaussian_tree import CovarianceMatrix, as_covariance, covariance_from_matrix, spd_factor
 from .geneig import (
     UNIT_EIGENVALUE_TOL,
     EigenSpectrum,
@@ -121,8 +121,8 @@ def sigma_lambda(sigma1, sigma2, lam: float) -> CovarianceMatrix:
     inv1 = cho_solve((c1.chol, True), eye)
     inv2 = cho_solve((c2.chol, True), eye)
     mix = (1.0 - lam) * inv1 + lam * inv2
-    mix = 0.5 * (mix + mix.T)
-    out = cho_solve(cho_factor(mix, lower=True), eye)
+    _, chol = spd_factor(0.5 * (mix + mix.T), name="mixed precision")
+    out = cho_solve((chol, True), eye)
     return covariance_from_matrix(0.5 * (out + out.T), name="sigma_lambda")
 
 
@@ -171,8 +171,9 @@ def solve_lambda_star(values, unit_tol: float = UNIT_EIGENVALUE_TOL) -> StackSol
     rows = values.shape[0]
     degenerate = np.all(np.abs(values - 1.0) <= unit_tol, axis=1)
     log_beta = np.log(values).sum(axis=1)
-    h_lo = 0.5 * (log_beta + (1.0 - values).sum(axis=1))
-    h_hi = 0.5 * (log_beta + ((1.0 - values) / values).sum(axis=1))
+    with np.errstate(over="ignore"):  # an infinite h(0) or h(1) still brackets
+        h_lo = 0.5 * (log_beta + (1.0 - values).sum(axis=1))
+        h_hi = 0.5 * (log_beta + ((1.0 - values) / values).sum(axis=1))
     bad = ~degenerate & ((h_lo > 0.0) | (h_hi < 0.0))
     if bad.any():
         r = int(np.argmax(bad))
@@ -292,3 +293,15 @@ def chernoff_information(
 ) -> ChernoffResult:
     """Chernoff information of an SPD covariance pair; symmetric in its arguments."""
     return chernoff_from_spectrum(generalized_eigenvalues(sigma1, sigma2), unit_tol)
+
+
+def pairwise_chernoff(models) -> dict[tuple[int, int], ChernoffResult]:
+    """Chernoff result of every model pair (a, b) with a < b, 0-based.
+
+    Each model (a tree, a matrix or a CovarianceMatrix) is coerced once,
+    and the spectra of all pairs are solved for lambda* as one stack.
+    """
+    covs = [as_covariance(m, name=f"model {idx}") for idx, m in enumerate(models)]
+    pairs = [(a, b) for a in range(len(covs)) for b in range(a + 1, len(covs))]
+    spectra = [generalized_eigenvalues(covs[a], covs[b]) for a, b in pairs]
+    return dict(zip(pairs, chernoff_from_spectra(spectra)))

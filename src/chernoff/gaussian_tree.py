@@ -295,7 +295,9 @@ def spd_factor(arr: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.nd
         raise NotPositiveDefinite(f"{name} contains non-finite entries")
     arr_t = np.swapaxes(arr, -1, -2)
     scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
-    if np.any(np.abs(arr - arr_t).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+    with np.errstate(over="ignore"):  # an infinite difference is asymmetric
+        gap = np.abs(arr - arr_t).max(axis=(-2, -1))
+    if np.any(gap > SYMMETRY_RTOL * scale):
         raise NotPositiveDefinite(f"{name} is not symmetric")
     if np.all(scale <= 0.5 * np.finfo(float).max):
         sym = 0.5 * (arr + arr_t)

@@ -55,7 +55,9 @@ def spectrum_from_values(values) -> EigenSpectrum:
     if not np.all(np.isfinite(vals)) or vals[0] <= 0.0:
         raise NonPositiveEigenvalue(f"eigenvalues must be positive, got min {vals[0]}")
     vals.setflags(write=False)
-    return EigenSpectrum(values=vals, beta=float(np.prod(vals)), dim=vals.size)
+    with np.errstate(over="ignore"):  # an overflowing product is beta's float64 value
+        beta = float(np.prod(vals))
+    return EigenSpectrum(values=vals, beta=beta, dim=vals.size)
 
 
 def _coerce_pair(sigma1, sigma2) -> tuple[CovarianceMatrix, CovarianceMatrix]:

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .divergence import chernoff_from_spectra
+from .divergence import pairwise_chernoff
 from .errors import DimensionMismatch, ValidationError
 from .gaussian_tree import CovarianceMatrix, as_covariance, model_from_json
 from .gaussian_tree import _json_float, _json_int, _json_list, _json_object
-from .geneig import generalized_eigenvalues
 
 MIN_ERRORS_FOR_FIT = 10
 BLOCK_VALUES = 4_000_000  # normal draws held at once; one sequence must fit
@@ -96,20 +95,21 @@ def sample_sequence(sigma, t: int, seed) -> np.ndarray:
     return rng.standard_normal((t, cov.dim)) @ cov.chol.T
 
 
-def _model_factors(hyps: HypothesisSet) -> list[tuple[np.ndarray, float]]:
-    return [(cov.chol, cov.logdet) for cov in hyps.models]
-
-
-def _log_likelihoods(x: np.ndarray, factors) -> np.ndarray:
+def _log_likelihoods(x: np.ndarray, models) -> np.ndarray:
     """Stacked per-model log densities for sequences x of shape (..., t, N)."""
     t, n = x.shape[-2], x.shape[-1]
     flat = x.reshape(-1, n)
-    scores = np.empty((flat.shape[0] // t, len(factors)))
-    for j, (lower, logdet) in enumerate(factors):
-        y = solve_triangular(lower, flat.T, lower=True)
+    scores = np.empty((flat.shape[0] // t, len(models)))
+    for j, cov in enumerate(models):
+        y = solve_triangular(cov.chol, flat.T, lower=True)
         quad = np.sum(y * y, axis=0).reshape(-1, t).sum(axis=1)
-        scores[:, j] = -0.5 * (quad + t * (logdet + n * _LOG_2PI))
+        scores[:, j] = -0.5 * (quad + t * (cov.logdet + n * _LOG_2PI))
     return scores
+
+
+def _map_decisions(x: np.ndarray, models, log_priors: np.ndarray) -> np.ndarray:
+    """MAP model index of each sequence in x of shape (..., t, N); ties go low."""
+    return np.argmax(_log_likelihoods(x, models) + log_priors, axis=1)
 
 
 def map_classify(x, hyps: HypothesisSet) -> int:
@@ -121,19 +121,12 @@ def map_classify(x, hyps: HypothesisSet) -> int:
         raise DimensionMismatch(
             f"sequence shape {x.shape} does not match dimension {hyps.models[0].dim}"
         )
-    scores = _log_likelihoods(x, _model_factors(hyps))[0]
-    return int(np.argmax(scores + np.log(hyps.priors)))
+    return int(_map_decisions(x, hyps.models, np.log(hyps.priors))[0])
 
 
 def min_pairwise_chernoff(hyps: HypothesisSet) -> float:
     """The predicted error exponent: the smallest pairwise CI."""
-    models = hyps.models
-    spectra = [
-        generalized_eigenvalues(models[a], models[b])
-        for a in range(len(models))
-        for b in range(a + 1, len(models))
-    ]
-    return min((r.ci for r in chernoff_from_spectra(spectra)), default=math.inf)
+    return min((r.ci for r in pairwise_chernoff(hyps.models).values()), default=math.inf)
 
 
 def _allocate(trials: int, priors: np.ndarray) -> np.ndarray:
@@ -146,9 +139,9 @@ def _allocate(trials: int, priors: np.ndarray) -> np.ndarray:
         counts[order[:short]] += 1
     return counts
 
-def _block_errors(factors, log_priors, k: int, t: int, n_k: int, seed, chunk: int) -> int:
+def _block_errors(models, log_priors, k: int, t: int, n_k: int, seed, chunk: int) -> int:
     """Misclassification count for n_k sequences of length t from model k."""
-    lower_k = factors[k][0]
+    lower_k = models[k].chol
     n = lower_k.shape[0]
     rng = np.random.default_rng([seed, t, k])
     errors = 0
@@ -157,8 +150,7 @@ def _block_errors(factors, log_priors, k: int, t: int, n_k: int, seed, chunk: in
         m = min(chunk, n_k - done)
         z = rng.standard_normal((m, t, n))
         x = z @ lower_k.T
-        scores = _log_likelihoods(x, factors) + log_priors
-        errors += int(np.sum(np.argmax(scores, axis=1) != k))
+        errors += int(np.sum(_map_decisions(x, models, log_priors) != k))
         done += m
     return errors
 
@@ -194,7 +186,6 @@ def estimate_error_exponent(
             f"a sequence of length {lengths[-1]} in dimension {n} exceeds "
             f"{BLOCK_VALUES} values"
         )
-    factors = _model_factors(hyps)
     log_priors = np.log(hyps.priors)
     counts = _allocate(trials, hyps.priors)
     diagnostics = []
@@ -206,7 +197,7 @@ def estimate_error_exponent(
         for k in range(len(hyps.models)):
             if counts[k] == 0:
                 continue
-            errs += _block_errors(factors, log_priors, k, t, int(counts[k]), seed, chunk)
+            errs += _block_errors(hyps.models, log_priors, k, t, int(counts[k]), seed, chunk)
         error_counts.append(errs)
     total = int(counts.sum())
     rates = [e / total for e in error_counts]

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .divergence import ChernoffResult, chernoff_from_spectra
+from .divergence import ChernoffResult, pairwise_chernoff
 from .errors import (
     DeterminantMismatch,
     DimensionMismatch,
@@ -42,7 +42,7 @@ from .errors import (
     WeightOutOfRange,
     WouldCreateCycle,
 )
-from .gaussian_tree import TreeSpec, build_covariance, tree_from_json, validate_tree
+from .gaussian_tree import TreeSpec, tree_from_json, validate_tree
 from .gaussian_tree import _json_float, _json_int, _json_list, _json_object
 from .geneig import _coerce_pair, generalized_eigenvalues
 
@@ -339,14 +339,8 @@ def trace_condition(sigma1, sigma2) -> float:
 
 
 def chain_pairwise_chernoff(chain: GraftChain) -> dict[tuple[int, int], ChernoffResult]:
-    """Chernoff result for every tree pair (a, b) with a < b, 0-based.
-
-    The spectra of all pairs are solved for lambda* in one stack.
-    """
-    covs = [build_covariance(t) for t in chain.trees]
-    pairs = [(a, b) for a in range(len(covs)) for b in range(a + 1, len(covs))]
-    spectra = [generalized_eigenvalues(covs[a], covs[b]) for a, b in pairs]
-    return dict(zip(pairs, chernoff_from_spectra(spectra)))
+    """Chernoff result for every tree pair (a, b) with a < b, 0-based."""
+    return pairwise_chernoff(chain.trees)
 
 
 def chain_ci_matrix(chain: GraftChain, pairwise=None) -> np.ndarray:

@@ -22,17 +22,25 @@ from chernoff import (
     ZeroWeightWarning,
     build_covariance,
     chernoff_information,
+    dimred,
     divergence,
     gaussian_tree,
     geneig,
     graft_op_to_json,
+    pca_baseline,
     simulate,
     tree_ops,
     tree_to_json,
 )
 from chernoff import cli
 from chernoff.cli import main
-from helpers import DEPENDENT_BASE, DEPENDENT_OPS, independent_chain_case, random_tree
+from helpers import (
+    DEPENDENT_BASE,
+    DEPENDENT_OPS,
+    independent_chain_case,
+    random_spd,
+    random_tree,
+)
 
 CHAIN_TREE = {"nodes": 3, "edges": [[1, 2, 0.5], [2, 3, 0.6]]}
 
@@ -198,6 +206,26 @@ class TestOneFactorPerMatrix:
         assert code == 0
         assert result["payload"]["tree_count"] == len(chain.trees) == 4
         assert len(factorizations) == len(chain.trees)
+
+    @pytest.fixture
+    def no_cho_factor(self, monkeypatch):
+        """scipy's cho_factor fails wherever the package binds it."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.cho_factor called")
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("chernoff."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is scipy.linalg.cho_factor:
+                        monkeypatch.setattr(module, attr, refuse)
+
+    # no_cho_factor is requested first, so the counting fixture sees ``refuse``
+    def test_sigma_lambda_factors_through_spd_factor(self, no_cho_factor, factorizations):
+        rng = np.random.default_rng(10)
+        divergence.sigma_lambda(random_spd(rng, 5), random_spd(rng, 5), 0.3)
+        # the two inputs, the mixed precision and the output
+        assert len(factorizations) == 4
 
     def test_simulate_factors_each_model_once(self, tmp_path, capsys, factorizations):
         rng = np.random.default_rng(9)
@@ -463,6 +491,27 @@ class TestDimredCommand:
         code, result, _ = _run(capsys, ["dimred", a, b, "--n-out", "1", "--compare-pca"])
         assert code == 0
         assert result["payload"]["pca_ci"] <= result["payload"]["ci"] + 1e-9
+
+    def test_pca_comparison_takes_the_stacked_route(self, tmp_path, capsys, monkeypatch):
+        a, b = self._pair_files(tmp_path)
+        stacks, pairs = [], []
+        projected, reduced = dimred.projected_chernoff, dimred.reduced_pair
+        monkeypatch.setattr(
+            cli, "projected_chernoff", lambda p, s1, s2: stacks.append(p) or projected(p, s1, s2)
+        )
+        for module in (cli, dimred):
+            monkeypatch.setattr(
+                module, "reduced_pair", lambda *args: pairs.append(args) or reduced(*args),
+                raising=False,
+            )
+        code, result, _ = _run(capsys, ["dimred", a, b, "--n-out", "2", "--compare-pca"])
+        assert code == 0, result
+        assert pairs == []
+        [stack] = stacks
+        baseline = pca_baseline(np.diag([2.0, 2.0, 0.5]), 2)
+        assert np.array_equal(stack, baseline[None])
+        expected = projected(baseline[None], np.diag([2.0, 2.0, 0.5]), np.eye(3))[0]
+        assert result["payload"]["pca_ci"] == pytest.approx(expected, rel=1e-11)
 
     def test_invalid_budget_exits_2(self, tmp_path, capsys):
         a, b = self._pair_files(tmp_path)
@@ -738,6 +787,30 @@ class TestExitCodeContract:
         assert exit_code == 0, result
         assert result["payload"]["ci"] == 0.0
         assert result["payload"]["degenerate"] is True
+
+    def test_opposite_entries_near_float64_max_are_asymmetric(self, tmp_path, capsys):
+        # the symmetry check's A - Aᵀ overflowed here and exited 4
+        skew = [[1.0, 1.7e308], [-1.7e308, 1.0]]
+        files = {"a": skew, "b": [[1.0, 0.0], [0.0, 1.0]]}
+        exit_code, result, err = _run(capsys, _place(tmp_path, CI, files))
+        assert (exit_code, result["payload"]["code"]) == (3, "not_positive_definite")
+        assert result["payload"]["message"].endswith("is not symmetric")
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # beta and h(0) overflow; inf is beta's float64 value
+            ("1e308,1e308,1e308", {"beta": "inf", "ci": 1052.44811462}),
+            # h(1) overflows; an infinite h(1) still brackets the root
+            ("1e-320,1", {"ci": 364.612443717}),
+        ],
+    )
+    def test_overflowing_spectra_run(self, capsys, values, expected):
+        exit_code, result, err = _run(capsys, ["ci", "--from-eigenvalues", values])
+        assert exit_code == 0, result
+        assert {k: result["payload"][k] for k in expected} == expected
+        assert err == ""
 
     def test_seed_beyond_int64_runs(self, tmp_path, capsys):
         exit_code, result, _ = _run(capsys, _place(tmp_path, SIMULATE, {"cfg": _sim(seed=10**30)}))

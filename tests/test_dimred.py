@@ -75,6 +75,14 @@ class TestCandidateReductions:
                 expected = min(m, n_out) - max(n_out + m - n, 0) + 1
                 assert len(candidate_reductions(s1, s2, n_out)) == expected
 
+    def test_m_counts_full_spectrum_above_one(self):
+        # one eigenvalue on each side of the 1e-12 margin
+        s1, s2 = _diag_pair([9.2341, 0.1019, 1.2982, 0.8185, 1.0, 1.0 + 5e-13, 1.0 + 2e-12])
+        values = generalized_eigenvalues(s1, s2).values
+        for n_out in (1, 3, 7):
+            best = candidate_reductions(s1, s2, n_out)[0]
+            assert best.m == int(np.sum(values > 1.0 + 1e-12)) == 3
+
     def test_row_selection_contract(self):
         rng = np.random.default_rng(2)
         s1, s2 = random_spd(rng, 6), random_spd(rng, 6)

@@ -28,7 +28,7 @@ from chernoff import (
     sigma_lambda,
     spectrum_from_values,
 )
-from chernoff import divergence
+from chernoff import divergence, gaussian_tree
 from chernoff.divergence import chernoff_from_spectra
 from chernoff.errors import (
     DegenerateSpectrum,
@@ -329,6 +329,24 @@ class TestStackedSolver:
         spectra = [spectrum_from_values([2.0]), spectrum_from_values([2.0, 3.0])]
         with pytest.raises(DimensionMismatch):
             chernoff_from_spectra(spectra)
+
+    def test_pairwise_equals_each_pair_field_for_field(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        models = [random_tree(rng, 6), random_spd(rng, 6), random_tree(rng, 6), random_spd(rng, 6)]
+        built = []
+        build = gaussian_tree.build_covariance
+        monkeypatch.setattr(
+            gaussian_tree, "build_covariance", lambda spec: built.append(spec) or build(spec)
+        )
+        pairwise = divergence.pairwise_chernoff(models)
+        assert built == [models[0], models[2]]
+        assert list(pairwise) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for (a, b), got in pairwise.items():
+            want = chernoff_information(models[a], models[b])
+            for name in ("ci", "lambda_star", "iterations", "residual", "degenerate"):
+                assert getattr(got, name) == getattr(want, name), name
+            assert got.spectrum.beta == want.spectrum.beta
+            assert np.array_equal(got.spectrum.values, want.spectrum.values)
 
     def test_within_1e12_of_mpmath_root_on_extreme_spectra(self):
         misses, worst_ci, most_steps = 0, 0.0, 0
